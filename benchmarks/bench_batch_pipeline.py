@@ -11,9 +11,11 @@ evaluating the UDF pair per candidate row pair.
 This benchmark drives both paths with the Figure-10 TPC-C generators:
 
 * bulk load: per-row ``execute`` loop vs one ``executemany`` per table,
-  asserting the batched path is >= 1.5x faster (full mode) and that the two
-  databases are indistinguishable to the application (identical decrypted
-  results under the same master key);
+  asserting the batched path is never slower (the execute loop binds through
+  the same memoised kernels since the one-bind-path change, so the former
+  1.5x gap is gone by design) and that the two databases are
+  indistinguishable to the application (identical decrypted results under
+  the same master key);
 * equi-join: the hash join vs the nested loop (ablated by disabling the
   hash-join term extraction), asserting identical rows and a measurable
   speedup.
@@ -39,19 +41,19 @@ if BENCH_QUICK:
     _SCALE = dict(warehouses=1, districts_per_warehouse=1,
                   customers_per_district=4, items=5, orders_per_district=3)
     _HOM_POOL = 500
-    _MIN_LOAD_SPEEDUP = 1.2
+    _MIN_LOAD_SPEEDUP = 0.8  # "not slower", with room for a 32-row sample's noise
     _MIN_JOIN_SPEEDUP = 0.8  # smoke mode checks correctness, not scale
 else:
     _SCALE = dict(warehouses=1, districts_per_warehouse=2,
                   customers_per_district=24, items=14, orders_per_district=8)
     _HOM_POOL = 3400
-    # The batched path must stay comfortably ahead of the scalar loop.  The
-    # floor was 3.0x when per-value crypto dominated the scalar path; the
-    # primitive overhaul (Jacobian ECC, T-table AES, CRT Paillier) made the
-    # scalar path itself ~8x faster, so batching's *relative* edge shrank
-    # while both absolute rates improved ~5-8x (see BENCH_batch_pipeline.json
-    # history).
-    _MIN_LOAD_SPEEDUP = 1.5
+    # executemany must never be slower than the execute() loop.  It used to
+    # be required to be 1.5-3x faster, but since the single-statement bind
+    # path runs the same memoised columnar kernels on a batch of one (one
+    # bind path), the scalar loop gets every ciphertext-cache hit the batch
+    # gets; what batching still saves is one plan lookup per row, the
+    # multi-row INSERT and the shared curve inversions -- a few percent.
+    _MIN_LOAD_SPEEDUP = 0.9
     _MIN_JOIN_SPEEDUP = 1.2
 
 _RESULTS: dict = {}

@@ -395,7 +395,15 @@ class SQLiteBackend:
         # isolation_level=None turns off the driver's implicit transaction
         # management: BEGIN/COMMIT/ROLLBACK pass through exactly as issued,
         # matching how the proxy drives the in-memory engine.
-        self.connection = sqlite3.connect(path, isolation_level=None)
+        #
+        # check_same_thread=False: the proxy is single-threaded by contract
+        # (DB-API threadsafety 1) and whoever shares it serialises access --
+        # ``repro.server`` builds the backend on its event-loop thread and
+        # runs every statement on one executor thread behind the admission
+        # lock, which the driver's creating-thread check would refuse.
+        self.connection = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
+        )
         if not allow_existing and path != ":memory:" and self.table_names():
             # A populated database file holds ciphertexts written under
             # metadata (onion levels, anonymised names, schema version) that

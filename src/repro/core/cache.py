@@ -12,14 +12,16 @@ proxy* ablation (Figure 12) with all of this switched off.
 
 * the per-column **Eq memos** map plaintext bytes to their JOIN/DET-layer
   ciphertexts (and back), collapsing the expensive deterministic part of the
-  Eq onion to one dictionary lookup for repeated values.  Encrypt memos are
-  invalidated when a JOIN-ADJ re-keying changes the ciphertexts a column
-  stores; decrypt memos are pure functions of the ciphertext bytes and stay
-  valid forever;
+  Eq onion to one dictionary lookup for repeated values -- for every
+  statement: ``execute`` binds a batch of one through the same kernels as
+  ``executemany``.  Encrypt memos are invalidated when a JOIN-ADJ re-keying
+  (or the ROLLBACK of one) changes the ciphertexts a column stores; decrypt
+  memos are pure functions of the ciphertext bytes and stay valid forever;
 * the OPE and SEARCH scheme objects created by the encryptor are registered
   here so their cache sizes and hit/miss counters aggregate into one report;
-* the Paillier randomness pool is filled through :meth:`precompute_hom` and
-  its hit/miss counters are reported alongside.
+* the Paillier randomness pool is filled through :meth:`precompute_hom`
+  (whose first call also builds the key pair's fixed-base table); pool
+  hit/miss counters are reported alongside and both count toward the bytes.
 
 **Byte budget.**  ``estimated_bytes`` is a real measurement: every cache
 unit (one per-column memo, one scheme's memo containers, the HOM pool) is
@@ -27,9 +29,10 @@ walked with ``sys.getsizeof`` and re-measured only when its entry count has
 changed since the last report.  When the proxy is constructed with a
 ``cache_budget_bytes`` limit, :meth:`enforce_budget` -- called after every
 statement -- evicts whole units in least-recently-used order until the
-measured footprint fits, shedding the HOM randomness pool last (dropping
-pre-computed factors costs only future encryption latency, never a cached
-ciphertext).  ``evictions``/``evicted_bytes`` count what was shed.
+measured footprint fits, shedding the HOM pre-computation last (dropping
+pooled factors or the fixed-base table costs only future encryption
+latency, never a cached ciphertext).  ``evictions``/``evicted_bytes`` count
+what was shed.
 
 ``proxy.stats`` exposes :meth:`statistics`, and ``proxy.stats.reset()``
 clears the counters (never the cached entries themselves).
@@ -149,7 +152,8 @@ class CryptoCache:
         self.budget_bytes = budget_bytes
         self._ope_schemes: list = []
         self._search_schemes: list = []
-        self._eq_encrypt_memos: dict[tuple[str, str], dict] = {}
+        #: (table, column) -> (join_layer, {plaintext bytes: ciphertext})
+        self._eq_encrypt_memos: dict[tuple[str, str], tuple] = {}
         self._eq_decrypt_memos: dict[tuple[str, str], dict] = {}
         self.det_hits = 0
         self.det_misses = 0
@@ -184,20 +188,31 @@ class CryptoCache:
         self._search_schemes.append(scheme)
 
     # -- Eq-onion memos ----------------------------------------------------
-    def eq_encrypt_memo(self, table: str, column: str) -> dict | None:
-        """Plaintext-bytes -> (join_ct, det_ct) memo, or None when disabled."""
+    def eq_encrypt_memo(self, table: str, column: str, join_layer: bool) -> dict | None:
+        """Plaintext-bytes -> ciphertext memo, or None when disabled.
+
+        A column's Eq onion has one deterministic layer in effect at a time
+        (DET, or JOIN once a join lowered it -- ``join_layer``), so one
+        ciphertext per value is kept; asking for the other layer -- the onion
+        was lowered, or a ROLLBACK restored it -- starts the memo afresh.
+        """
         if not self.enabled:
             return None
         key = ("eq_enc", table, column)
-        memo = self._eq_encrypt_memos.get((table, column))
-        if memo is None:
-            memo = self._eq_encrypt_memos[(table, column)] = {}
+        entry = self._eq_encrypt_memos.get((table, column))
+        if entry is None or entry[0] != join_layer:
+            entry = self._eq_encrypt_memos[(table, column)] = (join_layer, {})
+            self._unit_sizes.pop(key, None)
         self._lru[key] = None
         self._lru.move_to_end(key)
-        return memo
+        return entry[1]
 
     def eq_decrypt_memo(self, table: str, column: str) -> dict | None:
-        """Ciphertext -> decoded-value memo, or None when disabled."""
+        """Ciphertext -> decoded-value memo, or None when disabled.
+
+        Decoded values are never ``None`` (NULLs are not encrypted), so a
+        ``None`` lookup result always means a miss.
+        """
         if not self.enabled:
             return None
         key = ("eq_dec", table, column)
@@ -256,7 +271,7 @@ class CryptoCache:
         """(entry count, container objects) of one evictable cache unit."""
         kind = key[0]
         if kind == "eq_enc":
-            memo = self._eq_encrypt_memos.get(key[1:], {})
+            _, memo = self._eq_encrypt_memos.get(key[1:], (False, {}))
             return len(memo), (memo,)
         if kind == "eq_dec":
             memo = self._eq_decrypt_memos.get(key[1:], {})
@@ -325,9 +340,10 @@ class CryptoCache:
     def enforce_budget(self) -> None:
         """Evict least-recently-used units until the footprint fits.
 
-        Memos go first, coldest unit first; the HOM randomness pool is
-        trimmed last because shedding pre-computed factors never discards a
-        cached ciphertext -- the next INSERTs just pay ``r^n`` inline again.
+        Memos go first, coldest unit first; the HOM pre-computation (pooled
+        factors, then the fixed-base table) is shed last because dropping it
+        never discards a cached ciphertext -- the next INSERTs just pay more
+        for their randomness inline.
         """
         if self.budget_bytes is None:
             return
@@ -343,18 +359,15 @@ class CryptoCache:
                 continue
             total -= self._evict_unit(key)
         excess = total - self.budget_bytes
-        count = self.paillier.randomness_pool_size
-        if excess > 0 and count:
-            per_factor = max(1, (self.paillier.randomness_pool_bytes // count))
-            drop = min(count, -(-excess // per_factor))
-            dropped = self.paillier.trim_randomness_pool(count - drop)
-            if dropped:
+        if excess > 0:
+            released = self.paillier.shed_randomness(excess)
+            if released:
                 self.evictions += 1
-                self.evicted_bytes += dropped * per_factor
+                self.evicted_bytes += released
 
     # -- reporting ---------------------------------------------------------
     def statistics(self) -> CacheStatistics:
-        det_entries = sum(len(m) for m in self._eq_encrypt_memos.values())
+        det_entries = sum(len(m) for _, m in self._eq_encrypt_memos.values())
         det_entries += sum(len(m) for m in self._eq_decrypt_memos.values())
         ope_entries = sum(s.cache_size for s in self._ope_schemes)
         search_entries = sum(s.cache_size for s in self._search_schemes)

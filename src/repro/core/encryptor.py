@@ -46,12 +46,17 @@ _DECIMAL_SCALE = 10_000
 class Encryptor:
     """Performs all onion-layer encryption and decryption for the proxy.
 
-    Scalar entry points (``encrypt_row_value``, ``encrypt_constant``,
-    ``decrypt_value``) serve single-statement traffic; the column-batch
-    entry points (``encrypt_column_values``, ``encrypt_constants_many``,
-    ``decrypt_column``) serve ``executemany`` and bulk result decryption,
-    computing each distinct value's deterministic layers once through the
-    :class:`~repro.core.cache.CryptoCache` memos (§3.5.2).
+    There is one encryption path.  The column-batch kernels
+    (``encrypt_column_values``, ``encrypt_constants_many``,
+    ``hom_delta_many``, ``encrypt_hom_group_many``, ``decrypt_column``)
+    compute each distinct value's deterministic layers once through the
+    :class:`~repro.core.cache.CryptoCache` memos (§3.5.2); the scalar entry
+    points (``encrypt_row_value``, ``encrypt_constant``, ``hom_delta``,
+    ``encrypt_hom_group``) are the same kernels run on a batch of one.  A
+    constant or row value bound a second time therefore costs one dictionary
+    lookup whether it arrives through ``execute`` or ``executemany``, and
+    with the cache disabled (Figure 12's Proxy*) both pay the full crypto
+    every time.  RND IVs and HOM randomness are always fresh.
     """
 
     def __init__(
@@ -187,102 +192,20 @@ class Encryptor:
     # ------------------------------------------------------------------
     # Onion encryption (INSERT path)
     # ------------------------------------------------------------------
-    def encrypt_row_value(
-        self, column: ColumnMeta, value: Any
-    ) -> dict[str, Any]:
+    def encrypt_row_value(self, column: ColumnMeta, value: Any) -> dict[str, Any]:
         """Encrypt one value into all of its onion columns (plus the IV).
 
         Only the layers that have not yet been stripped from each onion are
-        applied, matching §3.3's write-query behaviour.
+        applied, matching §3.3's write-query behaviour.  A NULL stays NULL in
+        every part (CryptDB exposes NULLs to the DBMS unencrypted, §3.3).
         """
-        result: dict[str, Any] = {}
-        if column.plaintext:
-            return result
-        if value is None:
-            # CryptDB exposes NULLs to the DBMS unencrypted (§3.3).  A packed
-            # member's Add part lives in the shared group ciphertext (its slot
-            # carries count 0 for NULL), so it is never NULLed here.
-            for onion, state in column.onions.items():
-                if onion is Onion.ADD and column.hom_packed:
-                    continue
-                result[state.anon_name] = None
-            if column.iv_column:
-                result[column.iv_column] = None
-            return result
-
-        iv = RND.generate_iv()
-        if column.iv_column:
-            result[column.iv_column] = iv
-        for onion, state in column.onions.items():
-            if onion is Onion.ADD and column.hom_packed:
-                # The shared packed cell is produced per *group*, not per
-                # column; see :meth:`encrypt_hom_group`.
-                continue
-            result[state.anon_name] = self.encrypt_to_level(
-                column, onion, state.level, value, iv
-            )
-        return result
-
-    def encrypt_to_level(
-        self,
-        column: ColumnMeta,
-        onion: Onion,
-        level: EncryptionScheme,
-        value: Any,
-        iv: Optional[bytes] = None,
-    ) -> Any:
-        """Encrypt a value for one onion up to (and including) ``level``."""
-        if onion is Onion.EQ:
-            return self._encrypt_eq(column, level, value, iv)
-        if onion is Onion.ORD:
-            return self._encrypt_ord(column, level, value, iv)
-        if onion is Onion.ADD:
-            return self.paillier.encrypt(self._to_hom_int(value, column))
-        if onion is Onion.SEARCH:
-            text = value if isinstance(value, str) else str(value)
-            return self._search_for(column).encrypt(text).serialize()
-        raise ProxyError(f"unknown onion {onion}")
-
-    def _encrypt_eq(
-        self,
-        column: ColumnMeta,
-        level: EncryptionScheme,
-        value: Any,
-        iv: Optional[bytes],
-    ) -> bytes:
-        plaintext = self._to_bytes(column, value)
-        adj = self.joins.join_adj_for(column.table, column.name).hash_value(plaintext)
-        det_component = self._det_join_for(column).encrypt_bytes(plaintext)
-        join_ct = JoinCiphertext(adj, det_component).serialize()
-        if level is EncryptionScheme.JOIN:
-            return join_ct
-        det_ct = self._det_for(column).encrypt_bytes(join_ct)
-        if level is EncryptionScheme.DET:
-            return det_ct
-        if level is EncryptionScheme.RND:
-            if iv is None:
-                raise CryptoError("RND encryption requires an IV")
-            return self._rnd_for(column, Onion.EQ).encrypt_bytes(det_ct, iv)
-        raise ProxyError(f"invalid Eq onion level {level}")
-
-    def _encrypt_ord(
-        self,
-        column: ColumnMeta,
-        level: EncryptionScheme,
-        value: Any,
-        iv: Optional[bytes],
-    ) -> int:
-        ope_ct = self._ope_for(column).encrypt(self._to_ope_int(column, value))
-        if level in (EncryptionScheme.OPE, EncryptionScheme.OPE_JOIN):
-            return ope_ct
-        if level is EncryptionScheme.RND:
-            if iv is None:
-                raise CryptoError("RND encryption requires an IV")
-            return self._rnd_for(column, Onion.ORD).encrypt_int(ope_ct, iv)
-        raise ProxyError(f"invalid Ord onion level {level}")
+        return {
+            name: cells[0]
+            for name, cells in self.encrypt_column_values(column, [value]).items()
+        }
 
     # ------------------------------------------------------------------
-    # Column-batch encryption (executemany / bulk-load path)
+    # Column-batch kernels (every statement; ``execute`` is a batch of one)
     # ------------------------------------------------------------------
     def _eq_deterministic_many(
         self, column: ColumnMeta, values: Sequence[Any], level: EncryptionScheme
@@ -292,44 +215,31 @@ class Encryptor:
         Returns JOIN-layer ciphertexts when ``level`` is JOIN, DET-layer
         ciphertexts otherwise (the RND layer, being probabilistic, is applied
         by the caller).  Each distinct plaintext is computed once; the memo
-        persists across batches via the cache subsystem.
+        persists across batches and statements via the cache subsystem.
         """
-        memo = self.cache.eq_encrypt_memo(column.table, column.name)
+        want_join = level is EncryptionScheme.JOIN
+        memo = self.cache.eq_encrypt_memo(column.table, column.name, want_join)
         counted = memo is not None  # the Proxy* ablation reports no activity
         local = memo if memo is not None else {}
-        det_join = self._det_join_for(column)
-        det = self._det_for(column)
-        adj = self.joins.join_adj_for(column.table, column.name)
-        want_join = level is EncryptionScheme.JOIN
         plaintexts = [self._to_bytes(column, value) for value in values]
-        # JOIN-ADJ hashes for memo-missing plaintexts are computed as one
-        # batch so the whole column shares a single curve-point inversion.
-        # Dedup against a local set rather than reserving memo slots, so an
-        # exception mid-batch cannot leave half-built entries in the shared
-        # memo.
-        missing: list[bytes] = []
-        seen: set[bytes] = set()
-        for plaintext in plaintexts:
-            if plaintext not in local and plaintext not in seen:
-                seen.add(plaintext)
-                missing.append(plaintext)
+        missing = list(dict.fromkeys(p for p in plaintexts if p not in local))
         offloaded = False
         if missing:
-            offloaded = self._eq_encrypt_parallel(
-                column, missing, local, want_join, counted
-            )
+            offloaded = self._eq_encrypt_parallel(column, missing, local, want_join, counted)
             if not offloaded:
+                det_join = self._det_join_for(column)
+                det = None if want_join else self._det_for(column)
+                adj = self.joins.join_adj_for(column.table, column.name)
+                # One batch per column, so the JOIN-ADJ hashes share a single
+                # curve-point inversion (and a failure inside it leaves the
+                # shared memo untouched).
                 for plaintext, adj_hash in zip(missing, adj.hash_values(missing)):
-                    # The DET layer is computed lazily: a JOIN-level column
-                    # never needs it (matching the scalar path's early
-                    # return), but the memo entry can be upgraded if the
-                    # level is ever restored.
-                    local[plaintext] = [
-                        JoinCiphertext(
-                            adj_hash, det_join.encrypt_bytes(plaintext)
-                        ).serialize(),
-                        None,
-                    ]
+                    ciphertext = JoinCiphertext(
+                        adj_hash, det_join.encrypt_bytes(plaintext)
+                    ).serialize()
+                    local[plaintext] = (
+                        ciphertext if want_join else det.encrypt_bytes(ciphertext)
+                    )
         if counted:
             # An offloaded batch's missing values are counted by the workers
             # (as worker hits/misses); counting them here too would make
@@ -337,16 +247,7 @@ class Encryptor:
             self.cache.det_hits += len(plaintexts) - len(missing)
             if not offloaded:
                 self.cache.det_misses += len(missing)
-        out = []
-        for plaintext in plaintexts:
-            entry = local[plaintext]
-            if want_join:
-                out.append(entry[0])
-            else:
-                if entry[1] is None:
-                    entry[1] = det.encrypt_bytes(entry[0])
-                out.append(entry[1])
-        return out
+        return [local[plaintext] for plaintext in plaintexts]
 
     # ------------------------------------------------------------------
     # Worker-pool offload helpers
@@ -394,7 +295,7 @@ class Encryptor:
         except ParallelUnavailable:
             return False
         for plaintext, (join_ct, det_ct) in zip(missing, entries):
-            local[plaintext] = [join_ct, det_ct]
+            local[plaintext] = join_ct if want_join else det_ct
         return True
 
     def _hom_encrypt_many(self, encoded: list[int]) -> list[int]:
@@ -465,8 +366,8 @@ class Encryptor:
             for det_ct, plaintext in pairs:
                 hit = local.get(det_ct)
                 if hit is None:
-                    hit = local[det_ct] = (self._from_bytes(column, plaintext),)
-                plains.append(hit[0])
+                    hit = local[det_ct] = self._from_bytes(column, plaintext)
+                plains.append(hit)
             return plains
         # DET/JOIN level: the parent memo already holds repeated ciphertexts.
         missing: list = []
@@ -493,24 +394,25 @@ class Encryptor:
         except ParallelUnavailable:
             return None
         for det_ct, plaintext in pairs:
-            local[det_ct] = (self._from_bytes(column, plaintext),)
+            local[det_ct] = self._from_bytes(column, plaintext)
         if counted:
             # Every occurrence not shipped to a worker was served from the
             # parent memo (including duplicates of just-filled entries); the
             # shipped ones are counted worker-side, so hits + misses across
             # both sides still sums to len(dense).
             self.cache.det_hits += len(dense) - len(missing)
-        return [local[ciphertext][0] for ciphertext in dense]
+        return [local[ciphertext] for ciphertext in dense]
 
     def encrypt_column_values(
         self, column: ColumnMeta, values: Sequence[Any]
     ) -> dict[str, list]:
         """Encrypt one application column of a row batch into its onion parts.
 
-        The columnar equivalent of calling :meth:`encrypt_row_value` once per
-        row: returns ``{anon_column_name: [cell, ...]}`` with one list entry
-        per input value (NULLs stay NULL in every part).  Deterministic
-        layers are deduplicated; RND and HOM randomness stays fresh per row.
+        Returns ``{anon_column_name: [cell, ...]}`` with one list entry per
+        input value (NULLs stay NULL in every part; a packed member's Add
+        part lives in the shared group cell, see
+        :meth:`encrypt_hom_group_many`).  Deterministic layers are
+        deduplicated; RND and HOM randomness stays fresh per row.
         """
         result: dict[str, list] = {}
         if column.plaintext:
@@ -590,7 +492,7 @@ class Encryptor:
         level: EncryptionScheme,
         values: Sequence[Any],
     ) -> list:
-        """Batch form of :meth:`encrypt_constant` (one constant per row)."""
+        """Encrypt query constants (one per row) for comparison at ``level``."""
         count = len(values)
         non_null = [i for i, v in enumerate(values) if v is not None]
         dense = [values[i] for i in non_null]
@@ -614,7 +516,7 @@ class Encryptor:
         return sparse
 
     def hom_delta_many(self, column: ColumnMeta, deltas: Sequence[Any]) -> list:
-        """Batch form of :meth:`hom_delta`."""
+        """Paillier encryptions of the increments of ``SET c = c + k``."""
         if column.hom_packed:
             n = self.paillier.public.n
             return self._hom_encrypt_many(
@@ -653,17 +555,17 @@ class Encryptor:
     def encrypt_hom_group(
         self, members: Sequence[ColumnMeta], values: Sequence[Any]
     ) -> int:
-        """Encrypt one row's HOM-group members into a single packed cell.
-
-        ``values`` is slot-ordered and may contain ``None`` (SQL NULL, stored
-        as a count-0 slot); the whole group costs one Paillier exponentiation.
-        """
-        return self.paillier.encrypt(self._encode_group_row(members, values))
+        """One row of :meth:`encrypt_hom_group_many`."""
+        return self.encrypt_hom_group_many(members, [values])[0]
 
     def encrypt_hom_group_many(
         self, members: Sequence[ColumnMeta], rows: Sequence[Sequence[Any]]
     ) -> list[int]:
-        """Batch form of :meth:`encrypt_hom_group` (one packed cell per row)."""
+        """Encrypt each row's HOM-group members into a single packed cell.
+
+        A row is slot-ordered and may contain ``None`` (SQL NULL, stored as a
+        count-0 slot); the whole group costs one Paillier encryption per row.
+        """
         return self._hom_encrypt_many(
             [self._encode_group_row(members, row) for row in rows]
         )
@@ -718,36 +620,16 @@ class Encryptor:
     def encrypt_constant(
         self, column: ColumnMeta, onion: Onion, level: EncryptionScheme, value: Any
     ) -> Any:
-        """Encrypt a query constant for comparison at the given onion level."""
-        if value is None:
-            return None
-        if onion is Onion.EQ:
-            if level not in (EncryptionScheme.DET, EncryptionScheme.JOIN):
-                raise ProxyError("equality constants require the DET or JOIN layer")
-            return self._encrypt_eq(column, level, value, None)
-        if onion is Onion.ORD:
-            return self._encrypt_ord(column, EncryptionScheme.OPE, value, None)
-        if onion is Onion.ADD:
-            return self.paillier.encrypt(self._to_hom_int(value, column))
-        if onion is Onion.SEARCH:
-            raise ProxyError("SEARCH constants are encrypted as tokens, not values")
-        raise ProxyError(f"unknown onion {onion}")
+        """One constant of :meth:`encrypt_constants_many`."""
+        return self.encrypt_constants_many(column, onion, level, [value])[0]
 
     def search_token(self, column: ColumnMeta, word: str):
         """Produce the SEARCH token handed to the DBMS for a LIKE keyword."""
         return self._search_for(column).token(word)
 
     def hom_delta(self, column: ColumnMeta, delta: int) -> int:
-        """Paillier encryption of an increment used by UPDATE ... SET c = c + k."""
-        if column.hom_packed:
-            return self.paillier.encrypt(
-                self.packing.encode_delta(
-                    self._to_int(column, delta),
-                    column.hom_slot,
-                    self.paillier.public.n,
-                )
-            )
-        return self.paillier.encrypt(self._to_hom_int(delta, column))
+        """One increment of :meth:`hom_delta_many`."""
+        return self.hom_delta_many(column, [delta])[0]
 
     # ------------------------------------------------------------------
     # Decryption (result path)
@@ -855,10 +737,10 @@ class Encryptor:
                         inner = det.decrypt_bytes(data) if level is EncryptionScheme.DET else data
                         join_ct = JoinCiphertext.deserialize(inner)
                         plaintext = det_join.decrypt_bytes(join_ct.det)
-                        hit = local[data] = (self._from_bytes(column, plaintext),)
+                        hit = local[data] = self._from_bytes(column, plaintext)
                     elif counted:
                         self.cache.det_hits += 1
-                    plains.append(hit[0])
+                    plains.append(hit)
         elif onion is Onion.ORD:
             if level is EncryptionScheme.RND:
                 if any(iv is None for iv in dense_ivs):

@@ -15,11 +15,14 @@ result as a :class:`PreparedStatement`:
 * executing a cached plan only *binds* parameters: each ``?`` value is
   encrypted for exactly the onion/layer recorded in its
   :class:`~repro.core.rewriter.ParamSlot` and written into the rewritten
-  statement's literal nodes in place.
+  statement's literal nodes in place.  ``execute`` binds a batch of one
+  through the same columnar kernels (and memos) as ``executemany``.
 
 Plans whose rewritten text embeds fresh per-execution randomness (RND IVs of
-literal INSERT/UPDATE values, literal HOM increment ciphertexts) are marked
-non-cacheable by the rewriter and always re-rewritten.
+literal INSERT/UPDATE values) are marked non-cacheable by the rewriter and
+always re-rewritten.  A literal HOM increment (``SET c = c + 1``) is instead
+recorded as a bind-time slot, so its plan is cached and only the Paillier
+ciphertext of the delta is fresh per execution.
 """
 
 from __future__ import annotations
@@ -68,59 +71,24 @@ class PreparedStatement:
         return self.plan is None
 
 
-def bind_parameters(
-    plan: RewritePlan, params: Sequence[Any], encryptor: Encryptor
-) -> None:
-    """Encrypt bound values into the plan's literal slots, in place."""
-    row_values: dict[int, dict[str, Any]] = {}
-    for slot in plan.param_slots:
-        value = params[slot.index]
-        if slot.kind == "plain":
-            slot.target.value = value
-        elif slot.kind == "constant":
-            slot.target.value = encryptor.encrypt_constant(
-                slot.column, slot.onion, slot.level, value
-            )
-        elif slot.kind == "row_value":
-            if slot.index not in row_values:
-                row_values[slot.index] = encryptor.encrypt_row_value(slot.column, value)
-            slot.target.value = row_values[slot.index].get(slot.part)
-        elif slot.kind == "hom_delta":
-            if not isinstance(value, (int, float)):
-                raise ProxyError(
-                    f"parameter {slot.index} feeds a homomorphic increment and "
-                    f"must be numeric, got {type(value).__name__}"
-                )
-            slot.target.value = encryptor.hom_delta(slot.column, slot.sign * value)
-        elif slot.kind == "hom_pack":
-            slot.target.value = encryptor.encrypt_hom_group(
-                [column for column, _, _ in slot.pack],
-                [
-                    params[index] if index is not None else literal
-                    for _, index, literal in slot.pack
-                ],
-            )
-        else:  # pragma: no cover - slots are only created with known kinds
-            raise ProxyError(f"unknown parameter slot kind {slot.kind}")
-
-
-def bind_parameters_batch(
+def _bind_slot_columns(
     plan: RewritePlan, rows: Sequence[Sequence[Any]], encryptor: Encryptor
 ) -> list[list[Any]]:
-    """Encrypt many parameter rows column-wise through the deferred slots.
+    """Encrypt parameter rows column-wise: one list of bound values per slot.
 
-    The batched equivalent of calling :func:`bind_parameters` once per row:
-    for every :class:`~repro.core.rewriter.ParamSlot` the values of all rows
-    are gathered into one column and encrypted in a single batch call, so
-    the deterministic layers of repeated values are computed once.  Returns
-    one list per row, aligned with ``plan.param_slots``; the caller writes
-    each row's values into the slot targets just before executing it.
+    For every :class:`~repro.core.rewriter.ParamSlot` the values of all rows
+    are gathered into one column and encrypted in a single batch call, so the
+    deterministic layers of repeated values are computed once (and, through
+    the encryptor's memos, once across statements).  A slot whose ``index``
+    is ``None`` binds its recorded ``literal`` instead of a parameter.
     """
-    slots = plan.param_slots
     slot_columns: list[list[Any]] = []
     row_value_parts: dict[int, dict[str, list]] = {}
-    for slot in slots:
-        values = [row[slot.index] for row in rows]
+    for slot in plan.param_slots:
+        if slot.index is None:
+            values = [slot.literal] * len(rows)
+        else:
+            values = [row[slot.index] for row in rows]
         if slot.kind == "plain":
             slot_columns.append(values)
         elif slot.kind == "constant":
@@ -161,6 +129,31 @@ def bind_parameters_batch(
             )
         else:  # pragma: no cover - slots are only created with known kinds
             raise ProxyError(f"unknown parameter slot kind {slot.kind}")
+    return slot_columns
+
+
+def bind_parameters(
+    plan: RewritePlan, params: Sequence[Any], encryptor: Encryptor
+) -> None:
+    """Encrypt bound values into the plan's literal slots, in place.
+
+    A batch of one through the same columnar kernels ``executemany`` uses.
+    """
+    for slot, column in zip(
+        plan.param_slots, _bind_slot_columns(plan, [params], encryptor)
+    ):
+        slot.target.value = column[0]
+
+
+def bind_parameters_batch(
+    plan: RewritePlan, rows: Sequence[Sequence[Any]], encryptor: Encryptor
+) -> list[list[Any]]:
+    """Encrypt many parameter rows; returns one list per row.
+
+    Each row's list is aligned with ``plan.param_slots``; the caller writes
+    its values into the slot targets just before executing the row.
+    """
+    slot_columns = _bind_slot_columns(plan, rows, encryptor)
     return [
         [column[row_index] for column in slot_columns]
         for row_index in range(len(rows))

@@ -629,7 +629,9 @@ class CryptDBProxy:
         try:
             plan = self.rewriter.rewrite(statement)
             if not plan.passthrough:
-                bound_indices = {slot.index for slot in plan.param_slots}
+                bound_indices = {
+                    slot.index for slot in plan.param_slots if slot.index is not None
+                }
                 if bound_indices != set(range(param_count)):
                     raise UnsupportedQueryError(
                         "a ? placeholder appears in a position that cannot be bound "
@@ -756,7 +758,7 @@ class CryptDBProxy:
                     f"got {len(params)}"
                 )
             bind_start = time.perf_counter()
-            if params:
+            if plan.param_slots:
                 bind_parameters(plan, params, self.encryptor)
             bind_time = time.perf_counter() - bind_start
 

@@ -57,7 +57,10 @@ class ParamSlot:
     pays for parameter encryption, never for re-parsing or re-rewriting.
     """
 
-    index: int                     # zero-based parameter position
+    #: Zero-based parameter position.  ``None`` marks a slot that binds its
+    #: recorded ``literal`` on every execution (a literal HOM increment: the
+    #: plan is reusable, only the Paillier ciphertext must be fresh).
+    index: Optional[int]
     kind: str                      # plain | constant | row_value | hom_delta | hom_pack
     target: ast.Literal            # literal node in the rewritten statement
     column: Optional[ColumnMeta] = None
@@ -69,6 +72,7 @@ class ParamSlot:
     #: ``(member column, parameter index or None, literal value)``; binding
     #: gathers the member values and encrypts one packed ciphertext.
     pack: Optional[list] = None
+    literal: Any = None            # the value bound when ``index`` is None
 
 
 @dataclass
@@ -109,8 +113,9 @@ class RewritePlan:
     #: Packed-group rewrites the proxy must run *before* the main statement.
     hom_rmw: list[HomRmwSpec] = field(default_factory=list)
     # A plan is cacheable unless fresh per-execution randomness (RND IVs, HOM
-    # ciphertexts) was baked into the rewritten statement itself; replaying
-    # such a plan would silently reuse randomness and leak equality.
+    # ciphertexts of literal INSERT/SET values) was baked into the rewritten
+    # statement itself; replaying such a plan would silently reuse randomness
+    # and leak equality.
     cacheable: bool = True
 
 
@@ -1060,18 +1065,18 @@ class Rewriter:
                 self._record(plan, column, ComputationClass.ADDITION)
                 self._require(plan, column, ComputationClass.ADDITION)
                 state = column.onion_state(Onion.ADD)
+                # HOM encryption is probabilistic, so the delta ciphertext is
+                # never baked into the (reusable) plan: a ``?`` and a literal
+                # delta alike are encrypted afresh at bind time.
+                delta_node = ast.Literal(None)
                 if isinstance(value_expr, ast.Placeholder):
-                    delta_node = ast.Literal(None)
-                    plan.param_slots.append(
-                        ParamSlot(value_expr.index, "hom_delta", delta_node, column, sign=sign)
-                    )
+                    slot = ParamSlot(value_expr.index, "hom_delta", delta_node, column, sign=sign)
                 else:
-                    # HOM encryption is probabilistic; baking the ciphertext
-                    # into a reusable plan would replay its randomness.
-                    plan.cacheable = False
-                    delta_node = ast.Literal(
-                        self.encryptor.hom_delta(column, sign * value_expr.value)
+                    slot = ParamSlot(
+                        None, "hom_delta", delta_node, column, sign=sign,
+                        literal=value_expr.value,
                     )
+                plan.param_slots.append(slot)
                 if column.hom_packed:
                     # The delta ciphertext is pre-shifted into the member's
                     # slot; the Eq-onion cell rides along as a NULL sentinel

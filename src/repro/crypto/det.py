@@ -6,11 +6,15 @@ AES in a CMC-like mode with a zero IV for longer byte strings (so that
 equality of long prefixes is not leaked, unlike plain CBC).
 
 Because the scheme is deterministic, ciphertexts of repeated values are
-reusable: the batch APIs (:meth:`DET.encrypt_bytes_many` /
-:meth:`DET.decrypt_bytes_many`) memoise plaintext/ciphertext pairs, which is
-the §3.5.2 "ciphertext caching" optimisation applied to bulk loads and bulk
-result decryption.  The scalar methods stay memo-free so single-statement
-traffic keeps the paper's per-cell cost profile.
+reusable -- the §3.5.2 "ciphertext caching" optimisation.  The proxy applies
+it one level up: :class:`~repro.core.encryptor.Encryptor` memoises the whole
+composed Eq onion (JOIN-ADJ hash || DET_join, then DET) per column in the
+:class:`~repro.core.cache.CryptoCache`, for single statements and batches
+alike, and drops those memos when a JOIN-ADJ re-keying changes what the
+column stores.  ``encrypt_bytes``/``decrypt_bytes`` here are the memo-free
+primitives that path calls on a miss (and on every call under the Figure 12
+Proxy* ablation); the ``*_many`` methods offer a per-key memo to callers
+that use a ``DET`` object on its own.
 """
 
 from __future__ import annotations

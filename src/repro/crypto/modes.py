@@ -125,7 +125,7 @@ def ctr_transform(cipher: BlockCipher, nonce: bytes, data: bytes) -> bytes:
         counter_block = nonce + counter.to_bytes(size - len(nonce), "big")
         keystream = cipher.encrypt_block(counter_block)
         chunk = data[offset : offset + size]
-        out.extend(x ^ k for x, k in zip(chunk, keystream))
+        out.extend(xor_bytes(chunk, keystream[: len(chunk)]))
         offset += size
         counter += 1
     return bytes(out)

@@ -7,9 +7,13 @@ the multiplication performed by a server-side UDF that never sees the secret
 key.  The ciphertext is ``2 * key_bits`` long (2048 bits for the paper's
 1024-bit modulus).
 
-The proxy can pre-compute the random ``r^n mod n^2`` factors used by
-encryption (section 3.5.2); :meth:`PaillierKeyPair.precompute_randomness`
-implements that optimisation and the Figure 12 "Proxy*" ablation disables it.
+The proxy pre-computes the randomness factors used by encryption (section
+3.5.2).  :meth:`PaillierKeyPair.precompute_randomness` implements that
+optimisation twice over: it fills a pool of ready factors, and the first call
+builds the fixed-base table (:class:`_FixedBaseRandomness`) that makes every
+later factor -- pooled or drawn inline once the pool is empty -- cost about a
+tenth of a full-width ``r^n mod n^2``.  The Figure 12 "Proxy*" ablation never
+calls it, so it builds no table and pays ``r^n`` on every encryption.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ from repro.crypto.numbers import crt_pair, generate_prime, lcm, modinv
 from repro.errors import CryptoError
 
 DEFAULT_KEY_BITS = 1024
+
+#: Ceiling on the heap footprint of one key pair's fixed-base table.  The
+#: table stays resident for as long as the key pair is used, so it is sized
+#: by what a proxy can afford to hold, not by what would minimise multiplies.
+FIXED_BASE_TABLE_BYTES = 256 * 1024
 
 #: Tag prefixing a multi-partial packed SUM blob (see :class:`PackingConfig`).
 PARTIAL_SUM_TAG = b"PSUM"
@@ -252,6 +261,97 @@ class _CrtContext:
         return crt_pair(mp, self.p, mq, self.q)
 
 
+class _FixedBaseRandomness:
+    """Encryption randomness ``h_s^x mod n^2`` from a fixed-base comb table.
+
+    Damgard, Jurik and Nielsen ("A generalization of Paillier's public-key
+    system with applications to electronic voting", Int. J. Inf. Secur. 9(6),
+    2010, section 4.2) replace Paillier's ``r^n`` for a full-width random
+    ``r`` by ``h_s^x``: ``h_s = (-y^2)^n mod n^2`` is an ``n``-th residue
+    chosen once per key pair and ``x`` is a fresh exponent only half as long
+    as ``n``.  Every factor is still an ``n``-th residue (it decrypts to 0),
+    so ciphertext format, decryption and the server-side UDFs are untouched;
+    the randomness is drawn from the subgroup ``h_s`` generates instead of
+    from all ``n``-th residues.
+
+    Because the base never changes, ``h_s^x`` is evaluated with a Lim-Lee
+    comb: ``x`` is laid out as 8 rows of ``columns`` bits, a sub-table holds
+    the 255 non-trivial products of the 8 row generators, and each column
+    costs one table lookup and multiply (plus one squaring per column of a
+    sub-table's block).  One random *byte* is exactly one column's 8-bit
+    digit, so ``x`` is never materialised: drawing ``columns`` random bytes
+    draws it uniformly from ``[0, 2^(8*columns))``.  When the private key
+    keeps its factors the tables live modulo ``p^2`` and ``q^2`` (half-size
+    multiplies, recombined by CRT).  As many sub-tables as fit
+    :data:`FIXED_BASE_TABLE_BYTES` are built; each one shortens the blocks
+    and with them the squarings.
+    """
+
+    __slots__ = ("columns", "depth", "parts", "nbytes", "_crt_inverse")
+
+    def __init__(self, public: PaillierPublicKey, private: PaillierPrivateKey):
+        n, n_sq = public.n, public.n_squared
+        y = secrets.randbelow(n - 2) + 1
+        h_s = pow(-y * y % n, n, n_sq)
+        self.columns = columns = -(-(n.bit_length() // 2) // 8)
+        if private.p:
+            moduli = (private.p * private.p, private.q * private.q)
+            self._crt_inverse = modinv(moduli[0], moduli[1])
+        else:
+            moduli = (n_sq,)
+            self._crt_inverse = 0
+        # One sub-table is 256 entries per modulus (value + list slot each).
+        subtable_bytes = 256 * sum(sys.getsizeof(m) + 8 for m in moduli)
+        blocks = max(1, min(columns, FIXED_BASE_TABLE_BYTES // subtable_bytes))
+        self.depth = depth = -(-columns // blocks)
+        self.parts = [
+            (modulus, self._build(h_s % modulus, modulus, columns, depth))
+            for modulus in moduli
+        ]
+        self.nbytes = sum(
+            sys.getsizeof(table) + sum(sys.getsizeof(entry) for entry in table)
+            for _, tables in self.parts
+            for table in tables
+        )
+
+    @staticmethod
+    def _build(base: int, modulus: int, columns: int, depth: int) -> list[list[int]]:
+        """Sub-table ``j``, digit ``d``: product over set bits ``i`` of ``d``
+        of ``base^(2^(i*columns + j*depth))``."""
+        rows = [base]
+        for _ in range(7):
+            rows.append(pow(rows[-1], 1 << columns, modulus))
+        tables = []
+        for _ in range(-(-columns // depth)):
+            table = [1] * 256
+            for digit in range(1, 256):
+                low = digit & -digit
+                table[digit] = table[digit ^ low] * rows[low.bit_length() - 1] % modulus
+            tables.append(table)
+            rows = [pow(row, 1 << depth, modulus) for row in rows]
+        return tables
+
+    def draw(self) -> int:
+        """One fresh factor ``h_s^x mod n^2``."""
+        digits = secrets.token_bytes(self.columns)
+        depth = self.depth
+        residues = []
+        for modulus, tables in self.parts:
+            acc = 1
+            for k in range(depth - 1, -1, -1):
+                # The square is left unreduced: reducing once after the next
+                # multiply is cheaper than two separate reductions.
+                acc = acc * acc
+                for table, digit in zip(tables, digits[k::depth]):
+                    acc = acc * table[digit] % modulus
+            residues.append(acc)
+        if len(residues) == 1:
+            return residues[0]
+        (p_sq, _), (q_sq, _) = self.parts
+        rp, rq = residues
+        return rp + (rq - rp) * self._crt_inverse % q_sq * p_sq
+
+
 @dataclass
 class PaillierKeyPair:
     """A full Paillier key pair plus the optional randomness pool."""
@@ -260,6 +360,11 @@ class PaillierKeyPair:
     private: PaillierPrivateKey
     _randomness_pool: list = field(default_factory=list, repr=False)
     _crt: Optional[_CrtContext] = field(default=None, repr=False, compare=False)
+    #: Built by the first :meth:`precompute_randomness`; ``None`` (Proxy*)
+    #: means every factor is a full-width ``r^n``.
+    _fixed_base: Optional[_FixedBaseRandomness] = field(
+        default=None, repr=False, compare=False
+    )
     #: encryptions served from the pre-computed pool vs. paying ``r^n`` inline.
     pool_hits: int = 0
     pool_misses: int = 0
@@ -303,20 +408,16 @@ class PaillierKeyPair:
 
     # -- randomness pre-computation (section 3.5.2) -----------------------
     def precompute_randomness(self, count: int) -> None:
-        """Pre-compute ``count`` random ``r^n mod n^2`` factors.
+        """Pre-compute ``count`` randomness factors into the pool.
 
-        The proxy holds the secret key, so the pool is filled through the CRT
-        fast path when the factors are available.
+        The first call also builds the fixed-base table, so these factors --
+        and every factor drawn inline after the pool runs dry -- come from
+        :meth:`_FixedBaseRandomness.draw` instead of a full ``r^n``.
         """
-        n = self.public.n
-        n_sq = self.public.n_squared
-        crt = self._crt_context()
-        for _ in range(count):
-            r = secrets.randbelow(n - 2) + 1
-            if crt is not None:
-                self._randomness_pool.append(crt.pow_to_n(r, n, n_sq))
-            else:
-                self._randomness_pool.append(pow(r, n, n_sq))
+        if self._fixed_base is None:
+            self._fixed_base = _FixedBaseRandomness(self.public, self.private)
+        draw = self._fixed_base.draw
+        self._randomness_pool.extend(draw() for _ in range(count))
 
     @property
     def randomness_pool_size(self) -> int:
@@ -325,26 +426,36 @@ class PaillierKeyPair:
 
     @property
     def randomness_pool_bytes(self) -> int:
-        """Heap bytes held by the pool (factors are all ``n^2``-sized)."""
+        """Heap bytes of the pre-computation: pooled factors (all
+        ``n^2``-sized) plus the fixed-base table."""
         pool = self._randomness_pool
         size = sys.getsizeof(pool)
         if pool:
             size += len(pool) * sys.getsizeof(pool[0])
+        if self._fixed_base is not None:
+            size += self._fixed_base.nbytes
         return size
 
-    def trim_randomness_pool(self, keep: int) -> int:
-        """Discard pre-computed factors beyond ``keep``; returns how many.
+    def shed_randomness(self, excess: int) -> int:
+        """Release at least ``excess`` bytes of pre-computation, or all of it.
 
-        Used by the cache's byte-budget enforcement: the pool trades memory
-        for future encryption latency, so shedding factors is always safe --
-        the next encryptions simply pay ``r^n`` inline again.
+        Used by the cache's byte-budget enforcement.  Pooled factors go
+        first and the fixed-base table only when an empty pool still does
+        not fit; both trade memory for future encryption latency, so
+        shedding is always safe -- the next encryptions pay more inline.
+        Returns the bytes released.
         """
-        keep = max(0, keep)
-        dropped = len(self._randomness_pool) - keep
-        if dropped > 0:
-            del self._randomness_pool[keep:]
-            return dropped
-        return 0
+        pool = self._randomness_pool
+        released = 0
+        if pool:
+            per_factor = sys.getsizeof(pool[0])
+            drop = min(len(pool), -(-excess // per_factor))
+            del pool[len(pool) - drop :]
+            released = drop * per_factor
+        if released < excess and self._fixed_base is not None:
+            released += self._fixed_base.nbytes
+            self._fixed_base = None
+        return released
 
     def _next_randomness(self) -> int:
         if self._randomness_pool:
@@ -359,6 +470,9 @@ class PaillierKeyPair:
         self.pool_misses += 1
         if self.refill_hook is not None:
             self.refill_hook()
+        fixed_base = self._fixed_base
+        if fixed_base is not None:
+            return fixed_base.draw()
         n = self.public.n
         r = secrets.randbelow(n - 2) + 1
         crt = self._crt_context()

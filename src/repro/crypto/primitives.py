@@ -14,7 +14,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
         raise CryptoError(
             "xor_bytes requires equal lengths, got %d and %d" % (len(a), len(b))
         )
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -86,6 +86,10 @@ class WorkerState:
                 init.paillier_lam, init.paillier_mu, init.paillier_p, init.paillier_q
             ),
         )
+        # Build the fixed-base randomness table now (zero pooled factors):
+        # offloaded HOM encryptions draw their randomness inline, and without
+        # the table a worker would pay ten times what the parent does.
+        self.paillier.precompute_randomness(0)
         self._det: dict[bytes, DET] = {}
         self._rnd: dict[bytes, RND] = {}
         # (table, column, adj_scalar) -> {plaintext: [join_ct, det_ct|None]}
@@ -269,10 +273,10 @@ class RndEncryptJob:
 class HomEncryptJob:
     """Paillier-encrypt a chunk of integers (randomness computed inline).
 
-    Workers have no pre-computed randomness pool; they pay ``r^n mod n^2``
-    per value through the CRT fast path.  The parent only offloads when its
-    own pool cannot cover the batch, so the serial warm-pool path stays the
-    fast one for small batches.
+    Workers keep no pool of ready factors; they draw one per value from
+    their fixed-base table.  The parent only offloads when its own pool
+    cannot cover the batch, so the serial warm-pool path stays the fast one
+    for small batches.
     """
 
     values: list = field(hash=False)
@@ -293,7 +297,7 @@ class HomDecryptJob:
 
 @dataclass(frozen=True)
 class HomRandomnessJob:
-    """Pre-compute ``count`` Paillier ``r^n mod n^2`` factors.
+    """Pre-compute ``count`` Paillier randomness factors.
 
     The asynchronous pool-refill satellite: the parent appends the returned
     factors to its own randomness pool, so an INSERT burst after exhaustion

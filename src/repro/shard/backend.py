@@ -121,8 +121,8 @@ class ShardedBackend:
                 )
             else:
                 self.backends.append(create_backend(base))
-        # sqlite3 connections are pinned to their creating thread, so only
-        # in-memory engine shards may fan out across threads.
+        # sqlite3 connections are opened for serialised use by one caller
+        # at a time, so only in-memory engine shards fan out across threads.
         threaded = threads and normalized not in ("sqlite", "sqlite3")
         self._fanout = ThreadFanout(max_workers=shards, threads=threaded)
 

@@ -42,6 +42,10 @@ def _true_bytes(proxy):
             total += _walk(container, seen)
     pool = proxy.paillier._randomness_pool
     total += sys.getsizeof(pool) + sum(sys.getsizeof(f) for f in pool)
+    fixed_base = proxy.paillier._fixed_base
+    if fixed_base is not None:
+        # The fixed-base randomness table is resident pre-computation too.
+        total += _walk([tables for _, tables in fixed_base.parts], seen)
     return total
 
 
@@ -66,6 +70,32 @@ def test_estimated_bytes_within_10_percent_of_truth(make_proxy):
     truth = _true_bytes(proxy)
     assert truth > 0
     assert abs(estimated - truth) <= truth * 0.10, (estimated, truth)
+
+
+def test_estimated_bytes_counts_the_fixed_base_table(paillier_keypair, make_proxy):
+    """The table is real resident memory: reported, capped and sheddable."""
+    from repro.crypto.paillier import FIXED_BASE_TABLE_BYTES, PaillierKeyPair
+
+    def fresh_keys():
+        # Same key numbers, none of the session key pair's pre-computation.
+        return PaillierKeyPair(paillier_keypair.public, paillier_keypair.private)
+
+    without = make_proxy(paillier=fresh_keys(), hom_precompute=0)
+    assert without.paillier._fixed_base is None
+    baseline = without.stats.cache_stats().estimated_bytes
+    proxy = make_proxy(paillier=fresh_keys(), hom_precompute=4)
+    table_bytes = proxy.paillier._fixed_base.nbytes
+    assert 0 < table_bytes <= FIXED_BASE_TABLE_BYTES
+    assert proxy.paillier.randomness_pool_bytes > table_bytes
+    assert proxy.stats.cache_stats().estimated_bytes >= baseline + table_bytes
+    # A budget below the table's size sheds it (after the pooled factors);
+    # encryption then pays the full r^n again but stays correct.
+    proxy.cache.budget_bytes = table_bytes // 2
+    proxy.cache.enforce_budget()
+    assert proxy.paillier._fixed_base is None
+    assert proxy.paillier.randomness_pool_size == 0
+    assert proxy.stats.cache_stats().estimated_bytes <= table_bytes // 2
+    assert proxy.paillier.decrypt(proxy.paillier.encrypt(41)) == 41
 
 
 def test_estimated_bytes_tracks_growth(make_proxy):
@@ -144,15 +174,28 @@ def test_reset_counters_clears_eviction_totals(make_proxy):
 
 def test_lru_prefers_cold_memos(paillier_keypair):
     cache = CryptoCache(paillier_keypair, budget_bytes=None)
-    cold = cache.eq_encrypt_memo("t", "cold")
-    hot = cache.eq_encrypt_memo("t", "hot")
+    cold = cache.eq_encrypt_memo("t", "cold", False)
+    hot = cache.eq_encrypt_memo("t", "hot", False)
     for i in range(20):
-        cold[b"c%d" % i] = (b"j" * 16, b"d" * 16)
-        hot[b"h%d" % i] = (b"j" * 16, b"d" * 16)
-    cache.eq_encrypt_memo("t", "cold")
-    cache.eq_encrypt_memo("t", "hot")  # hot touched last
+        cold[b"c%d" % i] = b"d" * 48
+        hot[b"h%d" % i] = b"d" * 48
+    assert cache.eq_encrypt_memo("t", "cold", False) is cold
+    assert cache.eq_encrypt_memo("t", "hot", False) is hot  # touched last
     cache.budget_bytes = cache.statistics().estimated_bytes - 1
     cache.enforce_budget()
     assert ("t", "cold") not in cache._eq_encrypt_memos
     assert ("t", "hot") in cache._eq_encrypt_memos
     assert cache.evictions == 1
+
+
+def test_eq_encrypt_memo_restarts_when_the_layer_flips(paillier_keypair):
+    """One ciphertext per value: the memo follows the column's Eq layer."""
+    cache = CryptoCache(paillier_keypair)
+    det = cache.eq_encrypt_memo("t", "c", join_layer=False)
+    det[b"v"] = b"det-layer ciphertext"
+    assert cache.eq_encrypt_memo("t", "c", join_layer=False) is det
+    join = cache.eq_encrypt_memo("t", "c", join_layer=True)    # onion lowered
+    assert join == {} and join is not det
+    join[b"v"] = b"join-layer ciphertext"
+    assert cache.eq_encrypt_memo("t", "c", join_layer=False) == {}  # e.g. ROLLBACK
+    assert cache.statistics().det_entries == 0

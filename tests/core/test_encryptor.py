@@ -45,19 +45,27 @@ def test_row_encryption_null_passthrough(setup):
 def test_eq_onion_roundtrip_through_all_layers(setup):
     schema, encryptor = setup
     column = schema.column("t", "s")
-    iv = RND.generate_iv()
-    ciphertext = encryptor.encrypt_to_level(column, Onion.EQ, EncryptionScheme.RND, "hello", iv)
+    cells = encryptor.encrypt_row_value(column, "hello")
+    iv = cells[column.iv_column]
+    ciphertext = cells[column.onion_state(Onion.EQ).anon_name]
     assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.RND, ciphertext, iv) == "hello"
-    det_ct = encryptor.encrypt_to_level(column, Onion.EQ, EncryptionScheme.DET, "hello", None)
+    det_ct = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.DET, "hello")
     assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.DET, det_ct) == "hello"
-    join_ct = encryptor.encrypt_to_level(column, Onion.EQ, EncryptionScheme.JOIN, "hello", None)
+    # Stripping the stored cell's RND layer leaves exactly the DET constant.
+    assert RND(encryptor.layer_key(column, Onion.EQ, EncryptionScheme.RND)).decrypt_bytes(
+        ciphertext, iv
+    ) == det_ct
+    join_ct = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.JOIN, "hello")
     assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.JOIN, join_ct) == "hello"
 
 
 def test_det_constants_match_stored_values(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
-    stored = encryptor.encrypt_to_level(column, Onion.EQ, EncryptionScheme.DET, 7, None)
+    cells = encryptor.encrypt_row_value(column, 7)
+    stored = RND(encryptor.layer_key(column, Onion.EQ, EncryptionScheme.RND)).decrypt_bytes(
+        cells[column.onion_state(Onion.EQ).anon_name], cells[column.iv_column]
+    )
     constant = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.DET, 7)
     assert stored == constant
     assert encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.DET, 8) != constant
@@ -77,17 +85,19 @@ def test_ord_onion_preserves_order(setup):
 def test_decimal_encoding_roundtrip(setup):
     schema, encryptor = setup
     column = schema.column("t", "price")
-    iv = RND.generate_iv()
-    ciphertext = encryptor.encrypt_to_level(column, Onion.EQ, EncryptionScheme.RND, 19.99, iv)
-    assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.RND, ciphertext, iv) == 19.99
-    hom_ct = encryptor.encrypt_to_level(column, Onion.ADD, EncryptionScheme.HOM, 19.99)
+    cells = encryptor.encrypt_row_value(column, 19.99)
+    ciphertext = cells[column.onion_state(Onion.EQ).anon_name]
+    assert encryptor.decrypt_value(
+        column, Onion.EQ, EncryptionScheme.RND, ciphertext, cells[column.iv_column]
+    ) == 19.99
+    hom_ct = cells[column.onion_state(Onion.ADD).anon_name]
     assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, hom_ct) == 19.99
 
 
 def test_hom_handles_negative_values(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
-    ciphertext = encryptor.encrypt_to_level(column, Onion.ADD, EncryptionScheme.HOM, -25)
+    ciphertext = encryptor.encrypt_constant(column, Onion.ADD, EncryptionScheme.HOM, -25)
     assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, ciphertext) == -25
 
 
@@ -96,9 +106,9 @@ def test_search_tokens_match_search_onion(setup):
 
     schema, encryptor = setup
     column = schema.column("t", "txt")
-    stored = encryptor.encrypt_to_level(
-        column, Onion.SEARCH, EncryptionScheme.SEARCH, "meeting notes about budget"
-    )
+    stored = encryptor.encrypt_row_value(column, "meeting notes about budget")[
+        column.onion_state(Onion.SEARCH).anon_name
+    ]
     token = encryptor.search_token(column, "budget")
     assert SEARCH.matches(SearchCiphertext.deserialize(stored), token)
     assert not SEARCH.matches(SearchCiphertext.deserialize(stored), encryptor.search_token(column, "salary"))

@@ -54,6 +54,20 @@ def test_ctr_roundtrip_and_symmetry():
     assert modes.ctr_transform(cipher, b"nonce0000000", ciphertext) == message
 
 
+def test_ctr_matches_the_per_byte_reference():
+    """The keystream XOR is one integer XOR per block; the bytes must not move."""
+    cipher = AES(KEY)
+    nonce = b"nonce0000000"
+    for length in (0, 1, 15, 16, 17, 41, 64):
+        message = bytes(range(length))
+        expected = bytearray()
+        for counter in range(-(-length // 16)):
+            keystream = cipher.encrypt_block(nonce + counter.to_bytes(4, "big"))
+            chunk = message[16 * counter : 16 * counter + 16]
+            expected.extend(x ^ k for x, k in zip(chunk, keystream))
+        assert modes.ctr_transform(cipher, nonce, message) == bytes(expected)
+
+
 def test_pkcs7_padding_roundtrip_and_validation():
     padded = pkcs7_pad(b"abc", 16)
     assert len(padded) == 16
@@ -67,6 +81,17 @@ def test_pkcs7_padding_roundtrip_and_validation():
 def test_xor_bytes_requires_equal_lengths():
     with pytest.raises(CryptoError):
         xor_bytes(b"ab", b"abc")
+
+
+@settings(max_examples=50, deadline=None)
+@given(pair=st.integers(min_value=0, max_value=40).flatmap(
+    lambda size: st.tuples(st.binary(min_size=size, max_size=size),
+                           st.binary(min_size=size, max_size=size))))
+def test_xor_bytes_matches_the_per_byte_reference(pair):
+    left, right = pair
+    # Leading zero bytes and the empty string survive the integer round trip.
+    assert xor_bytes(left, right) == bytes(x ^ y for x, y in zip(left, right))
+    assert xor_bytes(bytes(len(left)), left) == left
 
 
 @settings(max_examples=30, deadline=None)
