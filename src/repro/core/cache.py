@@ -46,6 +46,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from repro.crypto.aes import BATCH_TALLY
 from repro.crypto.paillier import PaillierKeyPair
 
 
@@ -115,6 +116,14 @@ class CacheStatistics:
     pool_failures: int = 0
     pool_circuit_opens: int = 0
     pool_circuit_open: int = 0
+    #: AES blocks that went through the column-wide kernel instead of one
+    #: ``encrypt_block``/``decrypt_block`` call each, and the kernel passes
+    #: that carried them, in this process since the last ``reset()`` (the
+    #: in-process DBMS's UDFs and wire channels included; crypto workers are
+    #: other processes).  Per-block calls + ``aes_batched_blocks`` is the AES
+    #: work done; ``aes_batched_blocks / aes_batch_calls`` the mean pass width.
+    aes_batched_blocks: int = 0
+    aes_batch_calls: int = 0
 
     @property
     def det_hits_total(self) -> int:
@@ -177,6 +186,8 @@ class CryptoCache:
         self.worker_det_misses = 0
         self.parallel_jobs = 0
         self.hom_pool_async_refills = 0
+        # The process-wide AES batch tally at the last counter reset.
+        self._aes_tally_base = BATCH_TALLY.snapshot()
 
     # -- scheme registration (done by the encryptor as it creates them) ----
     def register_ope(self, scheme) -> None:
@@ -372,6 +383,7 @@ class CryptoCache:
         ope_entries = sum(s.cache_size for s in self._ope_schemes)
         search_entries = sum(s.cache_size for s in self._search_schemes)
         hom_remaining = self.paillier.randomness_pool_size
+        batched_blocks, batch_calls = BATCH_TALLY.snapshot()
         return CacheStatistics(
             det_entries=det_entries,
             det_hits=self.det_hits,
@@ -393,6 +405,8 @@ class CryptoCache:
             budget_bytes=self.budget_bytes or 0,
             evictions=self.evictions,
             evicted_bytes=self.evicted_bytes,
+            aes_batched_blocks=batched_blocks - self._aes_tally_base[0],
+            aes_batch_calls=batch_calls - self._aes_tally_base[1],
         )
 
     def reset_counters(self) -> None:
@@ -407,6 +421,7 @@ class CryptoCache:
         self.det_misses = 0
         self.evictions = 0
         self.evicted_bytes = 0
+        self._aes_tally_base = BATCH_TALLY.snapshot()
         with self._worker_counter_lock:
             self.worker_det_hits = 0
             self.worker_det_misses = 0

@@ -21,8 +21,13 @@ from repro.core.cache import CryptoCache
 from repro.core.joins import JoinManager
 from repro.core.onion import EncryptionScheme, Onion
 from repro.core.schema import ColumnMeta
-from repro.crypto.det import DET
-from repro.crypto.join_adj import ADJ_SIZE, JoinCiphertext
+from repro.crypto.det import DET, distinct_misses
+from repro.crypto.join_adj import (
+    ADJ_SIZE,
+    JoinCiphertext,
+    decrypt_eq_layers,
+    encrypt_eq_layers,
+)
 from repro.crypto.keys import KeyManager
 from repro.crypto.ope import OPE
 from repro.crypto.paillier import Paillier, PaillierKeyPair, PackingConfig
@@ -222,24 +227,18 @@ class Encryptor:
         counted = memo is not None  # the Proxy* ablation reports no activity
         local = memo if memo is not None else {}
         plaintexts = [self._to_bytes(column, value) for value in values]
-        missing = list(dict.fromkeys(p for p in plaintexts if p not in local))
+        missing = distinct_misses(local, plaintexts)
         offloaded = False
         if missing:
             offloaded = self._eq_encrypt_parallel(column, missing, local, want_join, counted)
             if not offloaded:
-                det_join = self._det_join_for(column)
-                det = None if want_join else self._det_for(column)
-                adj = self.joins.join_adj_for(column.table, column.name)
-                # One batch per column, so the JOIN-ADJ hashes share a single
-                # curve-point inversion (and a failure inside it leaves the
-                # shared memo untouched).
-                for plaintext, adj_hash in zip(missing, adj.hash_values(missing)):
-                    ciphertext = JoinCiphertext(
-                        adj_hash, det_join.encrypt_bytes(plaintext)
-                    ).serialize()
-                    local[plaintext] = (
-                        ciphertext if want_join else det.encrypt_bytes(ciphertext)
-                    )
+                encrypt_eq_layers(
+                    local,
+                    missing,
+                    self.joins.join_adj_for(column.table, column.name),
+                    self._det_join_for(column),
+                    None if want_join else self._det_for(column),
+                )
         if counted:
             # An offloaded batch's missing values are counted by the workers
             # (as worker hits/misses); counting them here too would make
@@ -294,8 +293,7 @@ class Encryptor:
             )
         except ParallelUnavailable:
             return False
-        for plaintext, (join_ct, det_ct) in zip(missing, entries):
-            local[plaintext] = join_ct if want_join else det_ct
+        local.update(zip(missing, entries))
         return True
 
     def _hom_encrypt_many(self, encoded: list[int]) -> list[int]:
@@ -370,12 +368,7 @@ class Encryptor:
                 plains.append(hit)
             return plains
         # DET/JOIN level: the parent memo already holds repeated ciphertexts.
-        missing: list = []
-        seen: set = set()
-        for ciphertext in dense:
-            if ciphertext not in local and ciphertext not in seen:
-                seen.add(ciphertext)
-                missing.append(ciphertext)
+        missing = distinct_misses(local, dense)
         if not missing or not self._pool_usable(len(missing)):
             return None
         try:
@@ -702,10 +695,11 @@ class Encryptor:
     ) -> list:
         """Decrypt one result column; the batch form of :meth:`decrypt_value`.
 
-        The probabilistic RND layer is stripped per row; the remaining
-        deterministic layers are decrypted once per distinct ciphertext
-        through the cache subsystem's decrypt memos (always safe: decryption
-        is a pure function of the ciphertext bytes).
+        Every layer is decrypted a column at a time: the probabilistic RND
+        layer as one batched CBC decryption over all rows, the remaining
+        deterministic layers once per distinct ciphertext through the cache
+        subsystem's decrypt memos (always safe: decryption is a pure function
+        of the ciphertext bytes).
         """
         count = len(ciphertexts)
         if ivs is None:
@@ -726,21 +720,23 @@ class Encryptor:
                         raise CryptoError("decrypting the RND layer requires the row IV")
                     dense = self._rnd_for(column, Onion.EQ).decrypt_bytes_many(dense, dense_ivs)
                     level = EncryptionScheme.DET
-                det = self._det_for(column)
-                det_join = self._det_join_for(column)
-                plains = []
-                for data in dense:
-                    hit = local.get(data)
-                    if hit is None:
-                        if counted:
-                            self.cache.det_misses += 1
-                        inner = det.decrypt_bytes(data) if level is EncryptionScheme.DET else data
-                        join_ct = JoinCiphertext.deserialize(inner)
-                        plaintext = det_join.decrypt_bytes(join_ct.det)
-                        hit = local[data] = self._from_bytes(column, plaintext)
-                    elif counted:
-                        self.cache.det_hits += 1
-                    plains.append(hit)
+                # The memo's misses are decrypted as one column per layer
+                # and memoised only once all of them decoded.
+                missing = distinct_misses(local, dense)
+                if missing:
+                    decoded = [
+                        self._from_bytes(column, plaintext)
+                        for plaintext in decrypt_eq_layers(
+                            missing,
+                            self._det_for(column) if level is EncryptionScheme.DET else None,
+                            self._det_join_for(column),
+                        )
+                    ]
+                    local.update(zip(missing, decoded))
+                if counted:
+                    self.cache.det_misses += len(missing)
+                    self.cache.det_hits += len(dense) - len(missing)
+                plains = [local[data] for data in dense]
         elif onion is Onion.ORD:
             if level is EncryptionScheme.RND:
                 if any(iv is None for iv in dense_ivs):

@@ -12,13 +12,17 @@ composed Eq onion (JOIN-ADJ hash || DET_join, then DET) per column in the
 :class:`~repro.core.cache.CryptoCache`, for single statements and batches
 alike, and drops those memos when a JOIN-ADJ re-keying changes what the
 column stores.  ``encrypt_bytes``/``decrypt_bytes`` here are the memo-free
-primitives that path calls on a miss (and on every call under the Figure 12
-Proxy* ablation); the ``*_many`` methods offer a per-key memo to callers
-that use a ``DET`` object on its own.
+single-value primitives; the ``*_many`` methods are what that path calls on
+its misses (all of them, under the Figure 12 Proxy* ablation): they compute
+each distinct value once, push the whole column of distinct values through
+:mod:`repro.crypto.modes` together -- CMC decryption is two batched AES calls
+per column, CMC encryption advances every value's chain in lockstep -- and
+offer a per-key memo to callers that use a ``DET`` object on its own.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.crypto import modes
@@ -28,6 +32,11 @@ from repro.crypto.rnd import _fit_aes_key
 from repro.errors import CryptoError
 
 
+def distinct_misses(memo: dict, cells: Sequence[Optional[bytes]]) -> list[bytes]:
+    """The distinct non-NULL ``cells`` that ``memo`` does not hold, in order."""
+    return list(dict.fromkeys(c for c in cells if c is not None and c not in memo))
+
+
 class DET:
     """Deterministic encryption under a fixed column key."""
 
@@ -35,17 +44,25 @@ class DET:
         if not key:
             raise CryptoError("DET key must be non-empty")
         self.key = key
-        self._aes = AES(_fit_aes_key(key))
-        self._prp64 = FeistelPRP(key, block_size=8)
         self._cache_enabled = cache
         self._encrypt_cache: dict[bytes, bytes] = {}
         self._decrypt_cache: dict[bytes, bytes] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
+    # The byte-string and the integer cipher are each built when first needed:
+    # the proxy's DET objects (Eq layers, SEARCH cores) only ever use AES.
+    @cached_property
+    def _aes(self) -> AES:
+        return AES(_fit_aes_key(self.key))
+
+    @cached_property
+    def _prp64(self) -> FeistelPRP:
+        return FeistelPRP(self.key, block_size=8)
+
     # -- byte strings -----------------------------------------------------
     def encrypt_bytes(self, plaintext: bytes) -> bytes:
-        """Deterministically encrypt an arbitrary byte string."""
+        """Deterministically encrypt an arbitrary byte string (memo-free)."""
         return modes.cmc_encrypt(self._aes, plaintext)
 
     def decrypt_bytes(self, ciphertext: bytes) -> bytes:
@@ -62,43 +79,32 @@ class DET:
         proxy's composed Eq-onion memos, which embed JOIN-ADJ components) it
         never needs invalidating for the lifetime of the key.
         """
-        memo = self._encrypt_cache if self._cache_enabled else {}
-        out: list[Optional[bytes]] = []
-        for plaintext in plaintexts:
-            if plaintext is None:
-                out.append(None)
-                continue
-            cached = memo.get(plaintext)
-            if cached is None:
-                self.cache_misses += 1
-                cached = modes.cmc_encrypt(self._aes, plaintext)
-                memo[plaintext] = cached
-                if self._cache_enabled:
-                    self._decrypt_cache[cached] = plaintext
-            else:
-                self.cache_hits += 1
-            out.append(cached)
-        return out
+        return self._through_memo(
+            plaintexts, self._encrypt_cache, self._decrypt_cache, modes.cmc_encrypt_many
+        )
 
     def decrypt_bytes_many(self, ciphertexts: Sequence[Optional[bytes]]) -> list[Optional[bytes]]:
         """Invert :meth:`encrypt_bytes_many` (deduplicating equal ciphertexts)."""
-        memo = self._decrypt_cache if self._cache_enabled else {}
-        out: list[Optional[bytes]] = []
-        for ciphertext in ciphertexts:
-            if ciphertext is None:
-                out.append(None)
-                continue
-            cached = memo.get(ciphertext)
-            if cached is None:
-                self.cache_misses += 1
-                cached = modes.cmc_decrypt(self._aes, ciphertext)
-                memo[ciphertext] = cached
-                if self._cache_enabled:
-                    self._encrypt_cache[cached] = ciphertext
-            else:
-                self.cache_hits += 1
-            out.append(cached)
-        return out
+        return self._through_memo(
+            ciphertexts, self._decrypt_cache, self._encrypt_cache, modes.cmc_decrypt_many
+        )
+
+    def _through_memo(self, cells, memo: dict, inverse_memo: dict, transform_many) -> list:
+        """Serve ``cells`` from ``memo``; the misses go through CMC as one column.
+
+        Nothing is memoised unless the whole column of misses succeeded.
+        """
+        if not self._cache_enabled:
+            memo = {}
+        missing = distinct_misses(memo, cells)
+        if missing:
+            computed = transform_many(self._aes, missing)
+            memo.update(zip(missing, computed))
+            if self._cache_enabled:
+                inverse_memo.update(zip(computed, missing))
+        self.cache_misses += len(missing)
+        self.cache_hits += len(cells) - cells.count(None) - len(missing)
+        return [None if cell is None else memo[cell] for cell in cells]
 
     @property
     def cache_size(self) -> int:

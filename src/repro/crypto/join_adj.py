@@ -16,6 +16,7 @@ component to recover ``v``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto import ecc
 from repro.crypto.det import DET
@@ -119,6 +120,48 @@ def adjust_many(adj_ciphertexts: list[bytes], delta: int) -> list[bytes]:
     """
     points = [ecc.Point.deserialize(ciphertext) for ciphertext in adj_ciphertexts]
     return [point.serialize() for point in ecc.scalar_multiply_many(delta, points)]
+
+
+def encrypt_eq_layers(
+    memo: dict,
+    plaintexts: list[bytes],
+    adj: JoinAdj,
+    det_join: DET,
+    det: Optional[DET],
+) -> None:
+    """Fill ``memo`` with the deterministic Eq-onion ciphertext of each plaintext.
+
+    ``JOIN-ADJ(v) || DET_join(v)``, wrapped in the DET layer when ``det`` is
+    given -- the one place the layers are composed, for the proxy's serial
+    path and the crypto workers alike.  The column is one JOIN-ADJ batch (a
+    single curve-point inversion) and one lockstep CMC batch per layer, and
+    ``memo`` is written only after every value succeeded, so a failure leaves
+    a shared memo untouched.  ``plaintexts`` must be distinct.
+    """
+    cells = [
+        JoinCiphertext(adj_hash, inner).serialize()
+        for adj_hash, inner in zip(
+            adj.hash_values(plaintexts), det_join.encrypt_bytes_many(plaintexts)
+        )
+    ]
+    if det is not None:
+        cells = det.encrypt_bytes_many(cells)
+    memo.update(zip(plaintexts, cells))
+
+
+def decrypt_eq_layers(
+    ciphertexts: list[bytes], det: Optional[DET], det_join: DET
+) -> list[bytes]:
+    """Invert :func:`encrypt_eq_layers` for a column of ciphertexts.
+
+    ``det`` strips the DET layer first (pass ``None`` for JOIN-layer input);
+    each layer is one batched CMC decryption over the whole column.
+    """
+    if det is not None:
+        ciphertexts = det.decrypt_bytes_many(ciphertexts)
+    return det_join.decrypt_bytes_many(
+        [JoinCiphertext.deserialize(ciphertext).det for ciphertext in ciphertexts]
+    )
 
 
 class JOIN:

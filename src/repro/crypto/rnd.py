@@ -9,9 +9,17 @@ for integer values, to keep integer ciphertexts short.
 The IV is stored alongside the ciphertext in a separate column on the DBMS
 server (the ``C*-IV`` columns of Figure 3), which is why the API takes and
 returns the IV explicitly instead of prepending it to the ciphertext.
+
+The unit of work is a column: ``encrypt_bytes_many`` / ``decrypt_bytes_many``
+hand every cell to :mod:`repro.crypto.modes` at once, where decryption is one
+batched AES call for the whole column and encryption advances all the cells'
+CBC chains in lockstep.  ``encrypt_bytes`` / ``decrypt_bytes`` are a column of
+one.  Ciphertext bytes do not depend on how a value was batched.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from repro.crypto import modes
 from repro.crypto.aes import AES
@@ -29,8 +37,16 @@ class RND:
         if not key:
             raise CryptoError("RND key must be non-empty")
         self.key = key
-        self._aes = AES(_fit_aes_key(key))
-        self._prp64 = FeistelPRP(key, block_size=8)
+
+    # One RND object serves one onion: byte strings (Eq) or integers (Ord),
+    # never both, so each cipher's key schedule is built when first needed.
+    @cached_property
+    def _aes(self) -> AES:
+        return AES(_fit_aes_key(self.key))
+
+    @cached_property
+    def _prp64(self) -> FeistelPRP:
+        return FeistelPRP(self.key, block_size=8)
 
     @staticmethod
     def generate_iv() -> bytes:
@@ -46,37 +62,26 @@ class RND:
     # -- byte strings -----------------------------------------------------
     def encrypt_bytes(self, plaintext: bytes, iv: bytes) -> bytes:
         """Encrypt an arbitrary byte string under the given IV."""
-        if len(iv) != self.IV_SIZE:
-            raise CryptoError("RND IV must be %d bytes" % self.IV_SIZE)
-        return modes.cbc_encrypt(self._aes, iv, plaintext)
+        return self.encrypt_bytes_many([plaintext], [iv])[0]
 
     def decrypt_bytes(self, ciphertext: bytes, iv: bytes) -> bytes:
         """Invert :meth:`encrypt_bytes`."""
-        if len(iv) != self.IV_SIZE:
-            raise CryptoError("RND IV must be %d bytes" % self.IV_SIZE)
-        return modes.cbc_decrypt(self._aes, iv, ciphertext)
+        return self.decrypt_bytes_many([ciphertext], [iv])[0]
 
     def encrypt_bytes_many(
         self, plaintexts: list[bytes], ivs: list[bytes]
     ) -> list[bytes]:
-        """Encrypt a column of byte strings, one fresh IV per value."""
-        encrypt = modes.cbc_encrypt
-        aes = self._aes
-        return [
-            None if plaintext is None else encrypt(aes, iv, plaintext)
-            for plaintext, iv in zip(plaintexts, ivs)
-        ]
+        """Encrypt a column of byte strings, one fresh IV per value.
+
+        ``None`` cells stay ``None`` (their IV is ignored).
+        """
+        return modes.cbc_encrypt_many(self._aes, ivs, plaintexts)
 
     def decrypt_bytes_many(
         self, ciphertexts: list[bytes], ivs: list[bytes]
     ) -> list[bytes]:
         """Invert :meth:`encrypt_bytes_many`."""
-        decrypt = modes.cbc_decrypt
-        aes = self._aes
-        return [
-            None if ciphertext is None else decrypt(aes, iv, ciphertext)
-            for ciphertext, iv in zip(ciphertexts, ivs)
-        ]
+        return modes.cbc_decrypt_many(self._aes, ivs, ciphertexts)
 
     # -- integers ---------------------------------------------------------
     def encrypt_int_many(self, values: list[int], ivs: list[bytes]) -> list[int]:

@@ -10,10 +10,11 @@ column of outputs plus a small counter delta that the parent merges into
 
 Workers are long-lived: :func:`initialize_worker` runs once per process,
 rebuilds the Paillier key pair and warms the import-time precomputations
-(the ECC fixed-base comb table, the AES T-tables), and sets up the
-per-worker ciphertext memos.  Per-worker Eq memos are keyed on the current
-JOIN-ADJ scalar, so a server-side re-keying naturally stops hitting stale
-entries -- and a transaction rollback that *restores* a previous scalar
+(the ECC fixed-base comb table, the AES T-tables and the lane masks of the
+batched AES kernel, all built when the crypto modules are imported), and
+sets up the per-worker ciphertext memos.  Per-worker Eq memos are keyed on
+the current JOIN-ADJ scalar, so a server-side re-keying naturally stops
+hitting stale entries -- and a transaction rollback that *restores* a previous scalar
 starts hitting the old entries again, exactly like the parent-side cache.
 
 Everything here must stay importable without the rest of the proxy loaded:
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto import ecc  # noqa: F401  (imported for its comb table)
-from repro.crypto.det import DET
-from repro.crypto.join_adj import JoinAdj, JoinCiphertext
+from repro.crypto.det import DET, distinct_misses
+from repro.crypto.join_adj import JoinAdj, decrypt_eq_layers, encrypt_eq_layers
 from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPrivateKey,
@@ -92,7 +93,7 @@ class WorkerState:
         self.paillier.precompute_randomness(0)
         self._det: dict[bytes, DET] = {}
         self._rnd: dict[bytes, RND] = {}
-        # (table, column, adj_scalar) -> {plaintext: [join_ct, det_ct|None]}
+        # (table, column, adj_scalar, want_det) -> {plaintext: ciphertext}
         self.eq_encrypt_memos: dict[tuple, dict] = {}
         # (table, column) -> {det_layer_ct: plaintext}
         self.eq_decrypt_memos: dict[tuple, dict] = {}
@@ -155,11 +156,11 @@ def run_job(job) -> tuple[list, dict]:
 class EqEncryptJob:
     """Deterministic Eq-onion layers for a column chunk of plaintext bytes.
 
-    Returns ``[(join_ct, det_ct_or_None), ...]`` aligned with ``plaintexts``:
-    the serialised ``JOIN-ADJ || DET`` ciphertext (an
-    :func:`ecc.scalar_multiply_base_many` batch over the chunk) and, when
-    ``want_det``, the DET layer over it.  The worker memo is keyed on the
-    current JOIN-ADJ scalar so re-keyed columns never hit stale entries.
+    Returns the ciphertexts aligned with ``plaintexts``: the serialised
+    ``JOIN-ADJ || DET`` ciphertext or, when ``want_det``, the DET layer over
+    it -- composed by the same :func:`encrypt_eq_layers` the serial path
+    runs.  The worker memo is keyed on the current JOIN-ADJ scalar (and the
+    layer) so re-keyed columns never hit stale entries.
     """
 
     table: str
@@ -173,37 +174,29 @@ class EqEncryptJob:
     plaintexts: list = field(hash=False)
 
     def run(self, state: WorkerState) -> tuple[list, dict]:
-        adj = JoinAdj(self.adj_scalar, self.adj_prf_key)
-        det_join = state.det(self.det_join_key)
-        det = state.det(self.det_key)
         memo = (
-            state.memo(state.eq_encrypt_memos, (self.table, self.column, self.adj_scalar))
+            state.memo(
+                state.eq_encrypt_memos,
+                (self.table, self.column, self.adj_scalar, self.want_det),
+            )
             if self.use_memo
             else {}
         )
-        hits = misses = 0
-        missing: list[bytes] = []
-        seen: set[bytes] = set()
-        for plaintext in self.plaintexts:
-            if plaintext not in memo and plaintext not in seen:
-                seen.add(plaintext)
-                missing.append(plaintext)
+        missing = distinct_misses(memo, self.plaintexts)
         if missing:
-            for plaintext, adj_hash in zip(missing, adj.hash_values(missing)):
-                memo[plaintext] = [
-                    JoinCiphertext(adj_hash, det_join.encrypt_bytes(plaintext)).serialize(),
-                    None,
-                ]
-        misses = len(missing)
-        hits = len(self.plaintexts) - misses
-        out = []
-        for plaintext in self.plaintexts:
-            entry = memo[plaintext]
-            if self.want_det and entry[1] is None:
-                entry[1] = det.encrypt_bytes(entry[0])
-            out.append((entry[0], entry[1]))
-        counters = {"det_hits": hits, "det_misses": misses} if self.use_memo else {}
-        return out, counters
+            encrypt_eq_layers(
+                memo,
+                missing,
+                JoinAdj(self.adj_scalar, self.adj_prf_key),
+                state.det(self.det_join_key),
+                state.det(self.det_key) if self.want_det else None,
+            )
+        counters = (
+            {"det_hits": len(self.plaintexts) - len(missing), "det_misses": len(missing)}
+            if self.use_memo
+            else {}
+        )
+        return [memo[plaintext] for plaintext in self.plaintexts], counters
 
 
 @dataclass(frozen=True)
@@ -231,27 +224,29 @@ class EqDecryptJob:
         data = self.ciphertexts
         if self.rnd_key is not None:
             data = state.rnd(self.rnd_key).decrypt_bytes_many(data, self.ivs)
-        det = state.det(self.det_key)
-        det_join = state.det(self.det_join_key)
         memo = (
             state.memo(state.eq_decrypt_memos, (self.table, self.column))
             if self.use_memo
             else {}
         )
-        hits = misses = 0
-        out = []
-        for ciphertext in data:
-            plaintext = memo.get(ciphertext)
-            if plaintext is None:
-                misses += 1
-                inner = det.decrypt_bytes(ciphertext) if self.strip_det else ciphertext
-                join_ct = JoinCiphertext.deserialize(inner)
-                plaintext = memo[ciphertext] = det_join.decrypt_bytes(join_ct.det)
-            else:
-                hits += 1
-            out.append((ciphertext, plaintext))
-        counters = {"det_hits": hits, "det_misses": misses} if self.use_memo else {}
-        return out, counters
+        missing = distinct_misses(memo, data)
+        if missing:
+            memo.update(
+                zip(
+                    missing,
+                    decrypt_eq_layers(
+                        missing,
+                        state.det(self.det_key) if self.strip_det else None,
+                        state.det(self.det_join_key),
+                    ),
+                )
+            )
+        counters = (
+            {"det_hits": len(data) - len(missing), "det_misses": len(missing)}
+            if self.use_memo
+            else {}
+        )
+        return [(ciphertext, memo[ciphertext]) for ciphertext in data], counters
 
 
 @dataclass(frozen=True)

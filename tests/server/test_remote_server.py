@@ -96,6 +96,19 @@ def test_server_stats_frame(conn):
     assert stats["in_txn"] is False
 
 
+def test_stats_frame_carries_the_aes_batch_counters(conn):
+    cur = conn.cursor()
+    cur.execute("CREATE TABLE sb (id int, label varchar(30))")
+    cur.executemany(
+        "INSERT INTO sb (id, label) VALUES (?, ?)", [(i, f"row-{i}") for i in range(30)]
+    )
+    cache = conn.proxy.server_stats(reset=True)["cache"]
+    assert 0 < cache["aes_batch_calls"] < cache["aes_batched_blocks"]
+    # reset=True closed that epoch: only the STATS exchange itself (CTR
+    # frames of a few dozen blocks) has run since.
+    assert conn.proxy.server_stats()["cache"]["aes_batched_blocks"] < cache["aes_batched_blocks"]
+
+
 def test_transaction_rollback_remote(conn):
     cur = conn.cursor()
     cur.execute("CREATE TABLE txr (id int, v int)")
@@ -186,7 +199,9 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
     b = connect(url=server.url)
     try:
         a.execute("CREATE TABLE dr (id int, v int)")
-        inflight_rows = [(i, i) for i in range(400)]
+        # Long enough to still be running when the drain starts: batched AES
+        # made a 400-row load too quick to hold that window under CI load.
+        inflight_rows = [(i, i) for i in range(800)]
         result = {}
 
         def slow_statement():
@@ -213,7 +228,7 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
 
         worker.join(timeout=120)
         drainer.join(timeout=120)
-        assert result["count"] == 400  # the in-flight batch fully landed
+        assert result["count"] == 800  # the in-flight batch fully landed
         stats = server.stats
         assert stats["dropped_inflight"] == 0
         assert stats["statements_refused_draining"] >= 1
