@@ -12,10 +12,18 @@ is a 64-step chain and stays one T-table call per block; *decrypting* it is
 64 independent blocks -- the batched side of the crossover -- so the CBC and
 CMC decrypt rows sit beside the paper's encrypt rows, and the last test
 guards the ratio between the batched kernel and the per-block loop.
+
+OPE has two rows.  ``ope_encrypt_int`` feeds a counter -- one corner of the
+domain, the same upper tree nodes every time.  ``ope_tail_is_bounded`` feeds
+fresh uniform 32-bit values with no memo, which is what a bulk load pays, and
+bounds the hypergeometric sampler by its step count rather than by a time.
 """
 
+import random
+import statistics
 import time
 
+from repro.crypto import hgd
 from repro.crypto.aes import AES
 from repro.crypto.det import DET
 from repro.crypto.feistel import FeistelPRP
@@ -74,6 +82,41 @@ def test_fig13_ope_encrypt_int(benchmark):
     ope = OPE(KEY, cache=False)
     counter = iter(range(10_000_000))
     benchmark(lambda: ope.encrypt(next(counter)))
+
+
+def test_fig13_ope_tail_is_bounded(monkeypatch):
+    """No fresh value may send the exact sampler across its whole support.
+
+    The sampler's masses sum to less than 1 on urns near 2^46 (see hgd.py), so
+    about one walk in 240 is handed a coin it cannot reach; it must stop once
+    its tails no longer move the sum (~8 sigma, sigma <= 64) instead of
+    visiting up to 16 368 values.  Counting steps makes the guard independent
+    of the runner's speed; the times are printed for the README table.
+    """
+    walks = []
+    exact_walk = hgd._exact_walk
+
+    def counted(*args):
+        value, steps = exact_walk(*args)
+        walks.append(steps)
+        return value, steps
+
+    monkeypatch.setattr(hgd, "_exact_walk", counted)
+    ope = OPE(KEY, cache=False)
+    rng = random.Random(13)
+    micros, steps_per_value = [], []
+    for _ in range(400):
+        value = rng.randrange(1 << 32)
+        seen = len(walks)
+        start = time.perf_counter()
+        ope.encrypt(value)
+        micros.append((time.perf_counter() - start) * 1e6)
+        steps_per_value.append(sum(walks[seen:]))
+    print(f"\n  OPE encrypt, 400 fresh uniform 32-bit values: median {statistics.median(micros):.0f} us, "
+          f"max {max(micros):.0f} us per value; sampler steps per value: "
+          f"median {statistics.median(steps_per_value):.0f}, max {max(steps_per_value)} "
+          f"(longest single walk {max(walks)})")
+    assert max(walks) <= 10 * hgd._EXACT_STDDEV_LIMIT
 
 
 def test_fig13_ope_compare_is_free(benchmark):

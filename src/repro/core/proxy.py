@@ -75,9 +75,10 @@ class ProxyStatistics:
     #: many parameter rows they covered.
     batched_statements: int = 0
     batched_rows: int = 0
-    #: End-to-end per-statement wall times, keyed by statement kind
-    #: ("SELECT", "INSERT", ...), populated by every execute() call.
-    per_query_type_seconds: dict[str, list] = field(default_factory=dict)
+    #: End-to-end wall time per statement kind ("SELECT", "INSERT", ...) as
+    #: a running ``[statements, total seconds]``, updated by every execute()
+    #: call: constant size however long the proxy runs.
+    per_query_type_totals: dict[str, list] = field(default_factory=dict)
     #: The proxy's unified ciphertext cache (DET/OPE/SEARCH memos, HOM pool);
     #: set by the proxy, excluded from reset()'s zeroing.
     cache: Optional[CryptoCache] = None
@@ -100,32 +101,26 @@ class ProxyStatistics:
             stats.pool_circuit_open = int(self.pool.circuit_open)
         return stats
 
-    def record_query_type(self, kind: str, seconds: float) -> None:
-        self.per_query_type_seconds.setdefault(kind, []).append(seconds)
+    def record_query_type(self, kind: str, seconds: float, rows: int = 1) -> None:
+        """Add ``seconds`` spent on ``rows`` statements of one kind.
 
-    def record_query_type_batch(self, kind: str, seconds: float, rows: int) -> None:
-        """Record a batch as per-row samples so means stay per-statement.
-
-        An N-row executemany contributes N samples of ``seconds / N`` --
-        count and total line up with the scalar path's bookkeeping instead
-        of one N-row sample inflating the mean.
+        An N-row executemany counts as N statements, so count and total line
+        up with the scalar path and the mean stays per-statement.
         """
-        rows = max(rows, 1)
-        self.per_query_type_seconds.setdefault(kind, []).extend(
-            [seconds / rows] * rows
-        )
+        entry = self.per_query_type_totals.setdefault(kind, [0, 0.0])
+        entry[0] += max(rows, 1)
+        entry[1] += seconds
 
     def query_type_summary(self) -> dict[str, dict[str, float]]:
         """Per-statement-type count/total/mean, for the benchmark reports."""
-        summary: dict[str, dict[str, float]] = {}
-        for kind, samples in sorted(self.per_query_type_seconds.items()):
-            total = sum(samples)
-            summary[kind] = {
-                "count": len(samples),
+        return {
+            kind: {
+                "count": count,
                 "total_seconds": total,
-                "mean_ms": (total / len(samples)) * 1000 if samples else 0.0,
+                "mean_ms": (total / count) * 1000,
             }
-        return summary
+            for kind, (count, total) in sorted(self.per_query_type_totals.items())
+        }
 
     def reset(self) -> None:
         """Zero every counter (timing series and cache hit/miss included).
@@ -587,7 +582,7 @@ class CryptDBProxy:
             self.stats.batched_rows += len(rows)
             return total
         finally:
-            self.stats.record_query_type_batch(
+            self.stats.record_query_type(
                 prepared.kind, time.perf_counter() - total_start, len(rows)
             )
             self.cache.enforce_budget()

@@ -11,39 +11,45 @@ All random draws come from a PRF keyed by the column key and the recursion
 node, so the function is deterministic.
 
 The paper reports 25 ms per encryption for the direct implementation and 7 ms
-after adding a search-tree cache for batch encryption; we provide the same
-kind of cache (a plaintext -> ciphertext dictionary plus the sorted interval
-structure implied by already-encrypted values).
+after adding a search-tree cache for batch encryption.  This class keeps a
+value memo only (plaintext -> ciphertext and back); it caches no tree nodes,
+so a value it has not seen walks the whole tree, root to leaf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from hmac import digest as hmac_digest
 
 from repro.crypto.hgd import hypergeometric_sample
-from repro.crypto.prf import DeterministicStream, derive_key
+from repro.crypto.prf import derive_key
 from repro.errors import CryptoError
 
 DEFAULT_PLAINTEXT_BITS = 32
 DEFAULT_CIPHERTEXT_BITS = 64
 
+_TWO53 = 1 << 53
+# ``c * 2**-53`` for an integer ``c < 2**53`` is exact, like ``c / 2**53``.
+_TO_UNIT_INTERVAL = (2.0**-53).__mul__
 
-@dataclass(frozen=True)
-class _Node:
-    """One node of the lazily sampled order-preserving function."""
 
-    d_lo: int
-    d_hi: int
-    r_lo: int
-    r_hi: int
-
-    @property
-    def domain_size(self) -> int:
-        return self.d_hi - self.d_lo + 1
-
-    @property
-    def range_size(self) -> int:
-        return self.r_hi - self.r_lo + 1
+def _uniform_ints(key: bytes, label: bytes, upper: int) -> Iterator[int]:
+    """Yield what successive ``DeterministicStream(key, label).uniform_int(upper)``
+    calls return: rejection sampling over HMAC-SHA256 blocks in counter mode.
+    """
+    n_bits = upper.bit_length()
+    n_bytes = (n_bits + 7) // 8
+    shift = n_bytes * 8 - n_bits
+    buffer = b""
+    counter = 0
+    while True:
+        while len(buffer) < n_bytes:
+            buffer += hmac_digest(key, label + counter.to_bytes(8, "big"), "sha256")
+            counter += 1
+        candidate = int.from_bytes(buffer[:n_bytes], "big") >> shift
+        buffer = buffer[n_bytes:]
+        if candidate < upper:
+            yield candidate
 
 
 class OPE:
@@ -84,7 +90,7 @@ class OPE:
                 self.cache_hits += 1
                 return self._encrypt_cache[plaintext]
             self.cache_misses += 1
-        ciphertext = self._encrypt_recursive(plaintext, self._root())
+        ciphertext = self._walk(plaintext, by_plaintext=True)
         if self._cache_enabled:
             self._encrypt_cache[plaintext] = ciphertext
             self._decrypt_cache[ciphertext] = plaintext
@@ -101,7 +107,7 @@ class OPE:
                 self.cache_hits += 1
                 return self._decrypt_cache[ciphertext]
             self.cache_misses += 1
-        plaintext = self._decrypt_recursive(ciphertext, self._root())
+        plaintext = self._walk(ciphertext, by_plaintext=False)
         if self._cache_enabled:
             self._encrypt_cache[plaintext] = ciphertext
             self._decrypt_cache[ciphertext] = plaintext
@@ -159,52 +165,44 @@ class OPE:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    # -- recursion --------------------------------------------------------
-    def _root(self) -> _Node:
-        return _Node(0, self.domain_size - 1, 0, self.range_size - 1)
+    # -- tree walk --------------------------------------------------------
+    def _walk(self, value: int, by_plaintext: bool) -> int:
+        """Descend the lazily sampled function from the root to one leaf.
 
-    def _coins(self, node: _Node, label: bytes) -> DeterministicStream:
-        node_label = b"%b:%d:%d:%d:%d" % (label, node.d_lo, node.d_hi, node.r_lo, node.r_hi)
-        return DeterministicStream(self._coins_key, node_label)
-
-    def _split(self, node: _Node) -> tuple[int, int]:
-        """Return (range midpoint, #plaintexts mapped at or below it)."""
-        mid_r = node.r_lo + (node.range_size // 2) - 1
-        lower_range = mid_r - node.r_lo + 1
-        coins = self._coins(node, b"node")
-        below = hypergeometric_sample(
-            draws=lower_range,
-            good=node.domain_size,
-            bad=node.range_size - node.domain_size,
-            coins=coins,
-        )
-        return mid_r, below
-
-    def _encrypt_recursive(self, plaintext: int, node: _Node) -> int:
-        while True:
-            if node.domain_size == 1:
-                coins = self._coins(node, b"leaf")
-                return node.r_lo + coins.uniform_int(node.range_size)
-            mid_r, below = self._split(node)
-            if plaintext < node.d_lo + below:
-                node = _Node(node.d_lo, node.d_lo + below - 1, node.r_lo, mid_r)
+        ``by_plaintext`` follows plaintext ``value`` and returns its
+        ciphertext; otherwise follows ciphertext ``value`` and returns its
+        plaintext, or raises if ``value`` is not in the function's image.
+        A node is its domain ``[d_lo, d_hi]`` and its range ``[r_lo, r_hi]``.
+        """
+        key = self._coins_key
+        d_lo, d_hi, r_lo, r_hi = 0, self.domain_size - 1, 0, self.range_size - 1
+        while d_lo != d_hi:
+            domain_size = d_hi - d_lo + 1
+            range_size = r_hi - r_lo + 1
+            lower_range = range_size // 2
+            mid_r = r_lo + lower_range - 1
+            label = b"node:%d:%d:%d:%d" % (d_lo, d_hi, r_lo, r_hi)
+            coins = map(_TO_UNIT_INTERVAL, _uniform_ints(key, label, _TWO53))
+            # How many of the node's plaintexts map at or below ``mid_r``.
+            below = hypergeometric_sample(
+                lower_range, domain_size, range_size - domain_size, coins
+            )
+            if by_plaintext:
+                go_low = value < d_lo + below
             else:
-                node = _Node(node.d_lo + below, node.d_hi, mid_r + 1, node.r_hi)
-
-    def _decrypt_recursive(self, ciphertext: int, node: _Node) -> int:
-        while True:
-            if node.domain_size == 1:
-                coins = self._coins(node, b"leaf")
-                expected = node.r_lo + coins.uniform_int(node.range_size)
-                if expected != ciphertext:
+                go_low = value <= mid_r
+                if below == (0 if go_low else domain_size):
                     raise CryptoError("ciphertext is not a valid OPE encryption")
-                return node.d_lo
-            mid_r, below = self._split(node)
-            if ciphertext <= mid_r:
-                if below == 0:
-                    raise CryptoError("ciphertext is not a valid OPE encryption")
-                node = _Node(node.d_lo, node.d_lo + below - 1, node.r_lo, mid_r)
+            if go_low:
+                d_hi = d_lo + below - 1
+                r_hi = mid_r
             else:
-                if below == node.domain_size:
-                    raise CryptoError("ciphertext is not a valid OPE encryption")
-                node = _Node(node.d_lo + below, node.d_hi, mid_r + 1, node.r_hi)
+                d_lo += below
+                r_lo = mid_r + 1
+        label = b"leaf:%d:%d:%d:%d" % (d_lo, d_hi, r_lo, r_hi)
+        ciphertext = r_lo + next(_uniform_ints(key, label, r_hi - r_lo + 1))
+        if by_plaintext:
+            return ciphertext
+        if ciphertext != value:
+            raise CryptoError("ciphertext is not a valid OPE encryption")
+        return d_lo

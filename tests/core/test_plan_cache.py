@@ -145,6 +145,23 @@ def test_parameter_count_enforced(loaded):
         loaded.execute_prepared(prepared, ())
 
 
+def test_per_type_timings_are_running_totals(loaded):
+    """One [count, seconds] pair per kind however many statements run; an
+    N-row executemany counts N statements."""
+    proxy = loaded
+    for _ in range(40):
+        proxy.execute("SELECT name FROM emp WHERE id = ?", (1,))
+    totals = proxy.stats.per_query_type_totals
+    assert sorted(totals) == ["CREATE TABLE", "INSERT", "SELECT"]
+    assert all(len(entry) == 2 for entry in totals.values())
+    summary = proxy.stats.query_type_summary()
+    assert summary["SELECT"]["count"] == 40
+    assert summary["INSERT"]["count"] == 3
+    assert summary["SELECT"]["total_seconds"] == pytest.approx(
+        summary["SELECT"]["mean_ms"] * 40 / 1000
+    )
+
+
 def test_stats_reset_and_per_type_timings(loaded):
     proxy = loaded
     proxy.execute("SELECT name FROM emp WHERE id = ?", (1,))
@@ -160,7 +177,8 @@ def test_stats_reset_and_per_type_timings(loaded):
     assert proxy.stats.queries_processed == 0
     assert proxy.stats.plan_cache_hits == 0
     assert proxy.stats.plan_cache_misses == 0
-    assert proxy.stats.per_query_type_seconds == {}
+    assert proxy.stats.per_query_type_totals == {}
+    assert proxy.stats.query_type_summary() == {}
     assert proxy.stats.proxy_time_seconds == 0.0
     # The proxy keeps working (and counting) after a reset.
     proxy.execute("SELECT name FROM emp WHERE id = ?", (1,))

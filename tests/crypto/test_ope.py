@@ -1,10 +1,16 @@
-"""OPE: order preservation, round trips, determinism, caching."""
+"""OPE: order preservation, round trips, determinism, caching, and
+bit-identity with the parent implementation kept in ``ope_reference.py``."""
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from ope_reference import ReferenceOPE
 
 from repro.core.encryptor import _INT32_OFFSET
-from repro.crypto.ope import OPE
+from repro.crypto.ope import OPE, _uniform_ints
+from repro.crypto.prf import DeterministicStream
 from repro.errors import CryptoError
 
 KEY = b"ope-key-16-bytes"
@@ -161,3 +167,92 @@ def test_roundtrip_is_exact_at_boundaries(value):
     ope = OPE(KEY, plaintext_bits=16, ciphertext_bits=32)
     ciphertext = ope.encrypt(value)
     assert ope.decrypt(ciphertext) == value
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the parent's two recursions (tests/crypto/ope_reference.py).
+# ---------------------------------------------------------------------------
+_SHAPES = st.sampled_from([(16, 32), (32, 64)])
+
+
+@st.composite
+def _key_shape_values(draw):
+    """A key, a (plaintext, ciphertext) bit shape and a column of plaintexts
+    that always holds 0, the maximum and a duplicate."""
+    key = draw(st.binary(min_size=1, max_size=32))
+    plaintext_bits, ciphertext_bits = draw(_SHAPES)
+    top = (1 << plaintext_bits) - 1
+    values = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=1, max_size=5))
+    values += [0, top, values[0]]
+    return key, plaintext_bits, ciphertext_bits, values
+
+
+def _outcome(decrypt, ciphertext):
+    try:
+        return decrypt(ciphertext)
+    except CryptoError as error:
+        return str(error)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_key_shape_values(), st.booleans())
+def test_walk_matches_parent_recursions(case, cache):
+    key, plaintext_bits, ciphertext_bits, values = case
+    reference = ReferenceOPE(key, plaintext_bits, ciphertext_bits)
+    ope = OPE(key, plaintext_bits, ciphertext_bits, cache=cache)
+    expected = [reference.encrypt(v) for v in values]
+    assert ope.encrypt_many(values) == expected
+    assert [ope.encrypt(v) for v in values] == expected
+    assert ope.decrypt_many(expected) == values
+    # A cold instance decrypts by walking the tree, not by reading the memo.
+    cold = OPE(key, plaintext_bits, ciphertext_bits, cache=cache)
+    assert [cold.decrypt(c) for c in expected] == [reference.decrypt(c) for c in expected]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_key_shape_values(), st.data())
+def test_rejects_the_same_ciphertexts_as_parent(case, data):
+    """Ciphertexts outside the function's image: same error, or -- for the few
+    that are in it -- the same plaintext."""
+    key, plaintext_bits, ciphertext_bits, values = case
+    reference = ReferenceOPE(key, plaintext_bits, ciphertext_bits)
+    ope = OPE(key, plaintext_bits, ciphertext_bits, cache=False)
+    top = (1 << ciphertext_bits) - 1
+    candidates = [0, top, data.draw(st.integers(min_value=0, max_value=top))]
+    for value in values:
+        ciphertext = reference.encrypt(value)
+        candidates += [c for c in (ciphertext - 1, ciphertext + 1) if 0 <= c <= top]
+    for candidate in candidates:
+        assert _outcome(ope.decrypt, candidate) == _outcome(reference.decrypt, candidate)
+    assert any("not a valid OPE" in str(_outcome(ope.decrypt, c)) for c in candidates)
+
+
+def test_pinned_ciphertext_digest():
+    """1 000 ciphertexts under a fixed key, pinned: a change of coin format,
+    label bytes or sampler arithmetic re-samples the function and would orphan
+    every stored Ord onion, so it must not pass silently."""
+    rng = random.Random(2011)
+    values = [rng.randrange(1 << 32) for _ in range(1000)]
+    ciphertexts = OPE(b"pinned-ope-key-1", cache=False).encrypt_many(values)
+    digest = hashlib.sha256(b"".join(c.to_bytes(8, "big") for c in ciphertexts))
+    assert digest.hexdigest() == (
+        "d8d48fc25c73f98e3e016665e43b9d29ed87ed9692e92975476c01de4dd5831e"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.binary(min_size=1, max_size=32),
+    label=st.binary(max_size=40),
+    upper=st.one_of(
+        st.just(1 << 53),
+        st.integers(min_value=1, max_value=1 << 64),
+        st.integers(min_value=0, max_value=300).map(lambda bits: 1 << bits),
+    ),
+)
+def test_node_coins_equal_deterministic_stream(key, label, upper):
+    """The one-shot-digest coins are DeterministicStream's, rejections and
+    block boundaries included."""
+    stream = DeterministicStream(key, label)
+    coins = _uniform_ints(key, label, upper)
+    assert [next(coins) for _ in range(12)] == [stream.uniform_int(upper) for _ in range(12)]
