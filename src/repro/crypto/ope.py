@@ -34,8 +34,10 @@ _TO_UNIT_INTERVAL = (2.0**-53).__mul__
 
 
 def _uniform_ints(key: bytes, label: bytes, upper: int) -> Iterator[int]:
-    """Yield what successive ``DeterministicStream(key, label).uniform_int(upper)``
-    calls return: rejection sampling over HMAC-SHA256 blocks in counter mode.
+    """Yield uniform integers in ``[0, upper)`` drawn from ``(key, label)``:
+    rejection sampling over HMAC-SHA256 blocks in counter mode, the coins of
+    the stream object the first OPE drew from (kept as ``DeterministicStream``
+    in ``tests/crypto/ope_reference.py``, which checks that they agree).
     """
     n_bits = upper.bit_length()
     n_bytes = (n_bits + 7) // 8

@@ -2,9 +2,8 @@
 
 CryptDB derives every onion-layer key from the master key with a PRP/PRF
 keyed by the tuple ``(table, column, onion, layer)`` (Equation (1) of the
-paper).  We implement the PRF with HMAC-SHA256, and also provide a
-deterministic byte stream (used by the OPE sampler) expanded from a PRF in
-counter mode.
+paper).  We implement the PRF with HMAC-SHA256 and expand it in counter
+mode for longer outputs.
 """
 
 from __future__ import annotations
@@ -66,45 +65,3 @@ def derive_key(master: bytes, *labels: object, length: int = 16) -> bytes:
         encoded.extend(int_to_bytes(len(part), 4))
         encoded.extend(part)
     return expand(master, bytes(encoded), length)
-
-
-class DeterministicStream:
-    """A deterministic pseudo-random byte stream seeded by a key and label.
-
-    Used by the OPE hypergeometric sampler, which must draw the *same* random
-    coins every time it visits the same domain/range node so that encryption
-    is a well-defined (and order-preserving) function.
-    """
-
-    def __init__(self, key: bytes, label: bytes):
-        if not key:
-            raise CryptoError("stream key must be non-empty")
-        self._key = key
-        self._label = label
-        self._counter = 0
-        self._buffer = b""
-
-    def read(self, n_bytes: int) -> bytes:
-        """Return the next ``n_bytes`` of the stream."""
-        while len(self._buffer) < n_bytes:
-            block = prf(self._key, self._label + int_to_bytes(self._counter, 8))
-            self._buffer += block
-            self._counter += 1
-        out, self._buffer = self._buffer[:n_bytes], self._buffer[n_bytes:]
-        return out
-
-    def uniform_int(self, upper: int) -> int:
-        """Return a uniform integer in ``[0, upper)`` via rejection sampling."""
-        if upper <= 0:
-            raise CryptoError("upper bound must be positive")
-        n_bits = upper.bit_length()
-        n_bytes = (n_bits + 7) // 8
-        while True:
-            candidate = int.from_bytes(self.read(n_bytes), "big")
-            candidate >>= n_bytes * 8 - n_bits
-            if candidate < upper:
-                return candidate
-
-    def uniform_float(self) -> float:
-        """Return a uniform float in ``[0, 1)`` with 53 bits of precision."""
-        return self.uniform_int(1 << 53) / float(1 << 53)

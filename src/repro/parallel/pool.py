@@ -25,7 +25,6 @@ never double-count, because nothing is ever re-read from a worker.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
@@ -150,6 +149,10 @@ class CryptoWorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
+        # Imported here, not at module level: a serial proxy (workers=0)
+        # never pays for loading multiprocessing.
+        import multiprocessing
+
         method = self.config.start_method
         if method is None:
             method = (

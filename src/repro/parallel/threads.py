@@ -14,10 +14,12 @@ unavailable (single shard, ``threads=False``, or an injected
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.parallel.pool import ParallelUnavailable
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["ThreadFanout", "ParallelUnavailable"]
 
@@ -44,6 +46,10 @@ class ThreadFanout:
         if not self.threads or count == 1:
             return [fn(index) for index in range(count)]
         if self._executor is None:
+            # Imported on first concurrent use: serial fan-outs (sqlite
+            # shards, threads=False) never load concurrent.futures.
+            from concurrent.futures import ThreadPoolExecutor
+
             self._executor = ThreadPoolExecutor(
                 max_workers=self.max_workers,
                 thread_name_prefix="shard-fanout",

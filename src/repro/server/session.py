@@ -132,6 +132,14 @@ class SessionManager:
         self._settle(session_id)
         return result, self._txn_owner == session_id
 
+    async def run_on_executor(self, fn: Callable[[], Any]) -> Any:
+        """Run a read-only ``fn`` on the statement thread, skipping admission.
+
+        The single executor thread serialises it with statements, which is
+        all backend handles need (sqlite3 connections are thread-pinned).
+        """
+        return await self._loop.run_in_executor(self._executor, fn)
+
     def _abandon(self, session_id: int, future) -> None:
         """A timed-out statement finally finished; release its admission."""
         if not future.cancelled():
@@ -329,7 +337,11 @@ class Session:
     # bookkeeping
     # ------------------------------------------------------------------
     async def _handle_stats(self, payload: dict) -> tuple[FrameType, dict]:
-        stats = self.manager.proxy.stats
+        proxy = self.manager.proxy
+        stats = proxy.stats
+        # Measured on request, on the executor thread that owns the backend
+        # handles; no admission: STATS must not queue behind a transaction.
+        storage_bytes = await self.manager.run_on_executor(proxy.storage_bytes)
         response = {
             "proxy": {
                 "queries_processed": stats.queries_processed,
@@ -337,11 +349,13 @@ class Session:
                 "unsupported_queries": stats.unsupported_queries,
                 "plan_cache_hits": stats.plan_cache_hits,
                 "plan_cache_misses": stats.plan_cache_misses,
+                "plan_cache_invalidations": stats.plan_cache_invalidations,
                 "batched_statements": stats.batched_statements,
                 "batched_rows": stats.batched_rows,
             },
             "cache": stats.cache_stats().as_dict(),
             "server": dict(self.manager.counters),
+            "storage_bytes": storage_bytes,
             "in_txn": self.manager.in_transaction(),
         }
         if stats.shard is not None:

@@ -17,10 +17,13 @@ ASTs and gets merged :class:`ResultSet`\\ s back.  Internally:
   ``CRYPTDB_HOM_SUM`` partials with no decrypt, COUNT/MIN/MAX recombined
   arithmetically.  Statements a faithful scatter cannot serve (joins,
   HAVING, DISTINCT aggregates, LIMIT without a total order) fall back to a
-  **broadcast scratch**: gather every referenced table's rows into a fresh
-  single-node engine (schemas replayed from the recorded DDL, so a LEFT
-  JOIN whose right side lives entirely on other shards still null-extends
-  from the schema template) and run the original statement there.
+  **broadcast scratch**: gather the referenced columns of every referenced
+  table into a fresh single-node engine and run the original statement
+  there.  Each scratch table is the recorded DDL filtered to the column
+  names the statement mentions (whole under ``*`` / ``t.*``, at least one
+  column otherwise), so a LEFT JOIN whose right side lives entirely on
+  other shards still null-extends from the schema template, and name
+  resolution sees the same candidates as with the full schema.
 
 The scatter fan-out fires the ``pool.scatter`` fault site before spreading
 work across threads; an injected :class:`ParallelUnavailable` degrades that
@@ -42,6 +45,7 @@ from repro.sql import ast_nodes as ast
 from repro.sql.engine import Database
 from repro.sql.executor import ResultSet
 from repro.sql.parser import parse_sql
+from repro.sql.types import ColumnDef
 
 
 class ShardedBackendError(ReproError):
@@ -57,6 +61,8 @@ def _fresh_counters() -> dict[str, int]:
         "routed_inserts": 0,
         "broadcast_writes": 0,
         "scatter_fallbacks": 0,
+        #: Cells (rows x columns) gathered into broadcast scratch engines.
+        "broadcast_cells": 0,
     }
 
 
@@ -392,7 +398,7 @@ class ShardedBackend:
         return [column.name for column in ddl.columns]
 
     # ------------------------------------------------------------------
-    # broadcast fallback: gather everything, run on a scratch engine
+    # broadcast fallback: gather what the statement reads, run on a scratch
     # ------------------------------------------------------------------
     def _broadcast_select(self, statement: ast.Select) -> ResultSet:
         self.counters["broadcast_selects"] += 1
@@ -401,38 +407,70 @@ class ShardedBackend:
             scratch.register_scalar_udf(name, func, batch=batch)
         for name, initial, step, finalize in self._aggregate_udfs:
             scratch.register_aggregate_udf(name, initial, step, finalize)
-        # Replay the *full* recorded DDL unconditionally -- the executor's
-        # schema-derived null-row template must exist even for a table whose
-        # rows all live on shards that returned nothing (a LEFT JOIN right
-        # side entirely on another shard still null-extends correctly).
-        for table in self._ddl_order:
-            scratch.execute(self._ddl[table])
-        needed = {
-            ref.name
-            for ref in shard_merge.referenced_tables(statement.from_clause)
-        }
-        for table in self._ddl_order:
-            if table not in needed:
-                continue
-            ddl = self._ddl[table]
-            columns = [column.name for column in ddl.columns]
+        for table, columns in self._broadcast_layout(statement):
+            # The table exists even when every shard returns nothing: the
+            # executor builds a LEFT JOIN's null-extension template from it.
+            target = scratch.create_table(table, columns)
+            names = [column.name for column in columns]
             gather = ast.Select(
-                [ast.SelectItem(ast.ColumnRef(name)) for name in columns],
+                [ast.SelectItem(ast.ColumnRef(name)) for name in names],
                 ast.TableRef(table),
             )
             shard_rows = self._scatter(
                 lambda index, g=gather: self.backends[index].execute(g).rows
             )
-            rows = [row for rows in shard_rows for row in rows]
-            if rows:
-                scratch.execute(
-                    ast.Insert(
-                        table,
-                        columns,
-                        [[ast.Literal(value) for value in row] for row in rows],
-                    )
-                )
+            for rows in shard_rows:
+                for row in rows:
+                    target.insert(dict(zip(names, row)))
+                self.counters["broadcast_cells"] += len(rows) * len(names)
         return scratch.execute(statement)
+
+    def _broadcast_layout(
+        self, statement: ast.Select
+    ) -> list[tuple[str, list[ColumnDef]]]:
+        """Each table ``statement`` reads, with the recorded columns it needs.
+
+        Tables come in DDL order, columns in their recorded order.  An
+        unqualified name is kept in every referenced table that has it, so
+        the scratch engine meets the same ambiguity as with the full schema;
+        ``t.x`` is kept in the table whose alias (or name, when unaliased)
+        is ``t``, the only table the engine resolves it against.  A ``*`` /
+        ``t.*`` projection keeps its tables whole; a table none of whose
+        columns is named keeps its first one, so ``COUNT(*)`` and join
+        multiplicity still see every row.
+        """
+        refs = shard_merge.referenced_tables(statement.from_clause)
+        bare: set[str] = set()
+        qualified: set[tuple[str, str]] = set()
+        for top in ast.statement_expressions(statement):
+            for node in ast.walk_expression(top):
+                if isinstance(node, ast.ColumnRef):
+                    if node.table is None:
+                        bare.add(node.name)
+                    else:
+                        qualified.add((node.table, node.name))
+        stars = [
+            item.expr for item in statement.items if isinstance(item.expr, ast.Star)
+        ]
+        # physical table -> the names it must carry, or None for every column
+        wanted: dict[str, Optional[set[str]]] = {}
+        for ref in refs:
+            alias = ref.effective_name
+            if any(star.table in (None, alias) for star in stars):
+                wanted[ref.name] = None
+            elif wanted.get(ref.name, set()) is not None:
+                names = wanted.setdefault(ref.name, set(bare))
+                names.update(name for table, name in qualified if table == alias)
+        layout = []
+        for table in self._ddl_order:
+            if table not in wanted:
+                continue
+            columns = self._ddl[table].columns
+            names = wanted[table]
+            if names is not None:
+                columns = [c for c in columns if c.name in names] or columns[:1]
+            layout.append((table, columns))
+        return layout
 
     # ------------------------------------------------------------------
     # fan-out

@@ -371,13 +371,24 @@ class StatementGenerator:
             condition = "a.name = b.name"
         else:
             condition = "a.ref = b.id"
-        where = ""
+        conjuncts = []
         if rng.random() < 0.4:
-            where = f" WHERE {self._predicate(table, qualifier='a')}"
+            conjuncts.append(self._predicate(table, qualifier="a"))
+        if rng.random() < 0.3:
+            # A conjunct on the right table, over columns the projection omits.
+            conjuncts.append(self._comparison(other, qualifier="b"))
+        where = ""
+        if conjuncts:
+            where = " WHERE " + " AND ".join(f"({c})" for c in conjuncts)
         ordered = rng.random() < 0.5
         order = ""
         if ordered:
-            order = " ORDER BY a.id ASC, b.id ASC"
+            keys = ["a.id ASC", "b.id ASC"]
+            sortable = [c for c in ("price", "name", "ref") if c not in other.hom_stale]
+            if sortable and rng.random() < 0.3:
+                # Sort first by a right-table column the projection omits.
+                keys.insert(0, f"b.{rng.choice(sortable)} {rng.choice(['ASC', 'DESC'])}")
+            order = " ORDER BY " + ", ".join(keys)
             if rng.random() < 0.4:
                 order += f" LIMIT {rng.randint(2, 10)}"
         sql = (

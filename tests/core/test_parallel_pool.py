@@ -9,10 +9,15 @@ double-counting across pool restarts or surviving ``stats.reset()``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.proxy import CryptDBProxy
 from repro.crypto.keys import MasterKey
 from repro.parallel import CryptoWorkerPool, ParallelConfig
@@ -123,6 +128,48 @@ def test_workers_zero_has_no_pool(serial_proxy):
     stats = serial_proxy.stats.cache_stats()
     assert stats.parallel_jobs == 0
     assert stats.worker_det_hits == 0 and stats.worker_det_misses == 0
+
+
+_IMPORT_PROBE = """
+import sys
+
+import repro
+from repro.shard import ShardedBackend
+
+def pool_modules():
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[0] in ("multiprocessing", "concurrent")
+    )
+
+for backend in (None, ShardedBackend(3, base="sqlite")):
+    conn = repro.connect(backend=backend, paillier_bits=512)
+    conn.cursor().execute("CREATE TABLE t (id INT, v INT)")
+    conn.cursor().execute("INSERT INTO t (id, v) VALUES (1, 2)")
+    assert conn.cursor().execute("SELECT v FROM t").fetchall() == [(2,)]
+    conn.close()
+assert pool_modules() == [], pool_modules()
+
+conn = repro.connect(workers=2, paillier_bits=512)
+conn.cursor().execute("CREATE TABLE t (id INT)")
+assert conn.proxy.pool is not None and "multiprocessing" in pool_modules()
+conn.close()
+print("ok")
+"""
+
+
+def test_serial_proxies_never_import_process_or_thread_pools():
+    """A default proxy -- in-memory, or sqlite shards with their serial
+    fan-out -- loads neither ``multiprocessing`` nor ``concurrent.futures``;
+    ``connect(workers=2)`` still builds its pool."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_small_batches_stay_serial(paillier_keypair):

@@ -1,13 +1,14 @@
 """The parent commit's OPE, kept verbatim as the reference for bit-identity.
 
-Everything between the two markers is the code of ``repro.crypto.hgd`` and of
-``repro.crypto.ope`` (``_Node``, ``_root``, ``_coins``, ``_split``,
-``_encrypt_recursive``, ``_decrypt_recursive``) as it stood before the sampler
-learnt to stop early and the two recursions became one walk: one
-``DeterministicStream`` and one frozen dataclass per node, and an exact
-sampler that visits its whole support when the coin is above the mass it can
-reach.  ``test_ope.py`` and ``test_hgd.py`` assert that the current code
-returns the same values; do not "fix" or speed up anything in here.
+Everything below the markers is the code of ``repro.crypto.prf``'s
+``DeterministicStream``, of ``repro.crypto.hgd`` and of ``repro.crypto.ope``
+(``_Node``, ``_root``, ``_coins``, ``_split``, ``_encrypt_recursive``,
+``_decrypt_recursive``) as it stood before the sampler learnt to stop early
+and the two recursions became one walk: one ``DeterministicStream`` and one
+frozen dataclass per node, and an exact sampler that visits its whole support
+when the coin is above the mass it can reach.  ``test_ope.py`` and
+``test_hgd.py`` assert that the current code returns the same values; do not
+"fix" or speed up anything in here.
 """
 
 from __future__ import annotations
@@ -15,8 +16,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.crypto.prf import DeterministicStream, derive_key
+from repro.crypto.prf import derive_key, prf
+from repro.crypto.primitives import int_to_bytes
 from repro.errors import CryptoError
+
+
+# -- verbatim: crypto/prf.py ---------------------------------------------------
+class DeterministicStream:
+    """A deterministic pseudo-random byte stream seeded by a key and label.
+
+    Used by the OPE hypergeometric sampler, which must draw the *same* random
+    coins every time it visits the same domain/range node so that encryption
+    is a well-defined (and order-preserving) function.
+    """
+
+    def __init__(self, key: bytes, label: bytes):
+        if not key:
+            raise CryptoError("stream key must be non-empty")
+        self._key = key
+        self._label = label
+        self._counter = 0
+        self._buffer = b""
+
+    def read(self, n_bytes: int) -> bytes:
+        """Return the next ``n_bytes`` of the stream."""
+        while len(self._buffer) < n_bytes:
+            block = prf(self._key, self._label + int_to_bytes(self._counter, 8))
+            self._buffer += block
+            self._counter += 1
+        out, self._buffer = self._buffer[:n_bytes], self._buffer[n_bytes:]
+        return out
+
+    def uniform_int(self, upper: int) -> int:
+        """Return a uniform integer in ``[0, upper)`` via rejection sampling."""
+        if upper <= 0:
+            raise CryptoError("upper bound must be positive")
+        n_bits = upper.bit_length()
+        n_bytes = (n_bits + 7) // 8
+        while True:
+            candidate = int.from_bytes(self.read(n_bytes), "big")
+            candidate >>= n_bytes * 8 - n_bits
+            if candidate < upper:
+                return candidate
+
+    def uniform_float(self) -> float:
+        """Return a uniform float in ``[0, 1)`` with 53 bits of precision."""
+        return self.uniform_int(1 << 53) / float(1 << 53)
+
 
 # -- verbatim: crypto/hgd.py ---------------------------------------------------
 # Above this standard deviation the exact inverse transform would need too

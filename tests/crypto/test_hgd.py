@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.hgd import _exact_walk, _log_pmf, hypergeometric_sample
-from repro.crypto.prf import DeterministicStream
 from repro.errors import CryptoError
 
 
-def _stream(label: bytes) -> DeterministicStream:
-    return DeterministicStream(b"hgd-test-key", label)
+def _stream(label: bytes) -> ope_reference.DeterministicStream:
+    return ope_reference.DeterministicStream(b"hgd-test-key", label)
 
 
 def _coins(label: bytes = b"x"):

@@ -6,11 +6,10 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from ope_reference import ReferenceOPE
+from ope_reference import DeterministicStream, ReferenceOPE
 
 from repro.core.encryptor import _INT32_OFFSET
 from repro.crypto.ope import OPE, _uniform_ints
-from repro.crypto.prf import DeterministicStream
 from repro.errors import CryptoError
 
 KEY = b"ope-key-16-bytes"

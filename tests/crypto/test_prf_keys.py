@@ -1,6 +1,7 @@
-"""PRF, key derivation (Equation 1) and the deterministic coin stream."""
+"""PRF, key derivation (Equation 1) and the reference OPE coin stream."""
 
 import pytest
+from ope_reference import DeterministicStream
 
 from repro.crypto import prf
 from repro.crypto.keys import KeyManager, MasterKey
@@ -34,15 +35,15 @@ def test_prf_rejects_empty_key():
 
 
 def test_deterministic_stream_reproducible():
-    a = prf.DeterministicStream(b"key", b"label")
-    b = prf.DeterministicStream(b"key", b"label")
+    a = DeterministicStream(b"key", b"label")
+    b = DeterministicStream(b"key", b"label")
     assert a.read(40) == b.read(40)
     assert a.uniform_int(1000) == b.uniform_int(1000)
     assert a.uniform_float() == b.uniform_float()
 
 
 def test_deterministic_stream_uniform_int_bounds():
-    stream = prf.DeterministicStream(b"key", b"label")
+    stream = DeterministicStream(b"key", b"label")
     for upper in (1, 2, 7, 1000, 2**33):
         value = stream.uniform_int(upper)
         assert 0 <= value < upper

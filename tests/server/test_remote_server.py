@@ -96,6 +96,37 @@ def test_server_stats_frame(conn):
     assert stats["in_txn"] is False
 
 
+def test_stats_frame_carries_storage_bytes_and_plan_invalidations(loopback, conn):
+    cur = conn.cursor()
+    cur.execute("CREATE TABLE sfi (id int, v int)")
+    before = conn.proxy.server_stats()
+    cur.executemany("INSERT INTO sfi (id, v) VALUES (?, ?)", [(i, i % 5) for i in range(12)])
+    cur.execute("SELECT id FROM sfi WHERE v = ?", (3,))
+    # The range predicate lowers v's Ord onion, which retires every cached
+    # plan: the next equality lookup replans and counts an invalidation.
+    cur.execute("SELECT id FROM sfi WHERE v > ?", (3,))
+    cur.execute("SELECT id FROM sfi WHERE v = ?", (3,))
+    after = conn.proxy.server_stats()
+    assert after["storage_bytes"] > before["storage_bytes"]
+    assert after["storage_bytes"] == loopback.server.proxy.storage_bytes()
+    assert after["proxy"]["plan_cache_invalidations"] > before["proxy"]["plan_cache_invalidations"]
+    # STATS skips admission: it answers while another session holds a
+    # transaction (a statement would queue behind it).
+    other = connect(url=loopback.url)
+    try:
+        other.begin()
+        other.execute("INSERT INTO sfi (id, v) VALUES (99, 1)")
+        assert conn.proxy.server_stats()["in_txn"] is True
+        other.rollback()
+    finally:
+        other.close()
+    reset = conn.proxy.server_stats(reset=True)
+    assert reset["proxy"]["plan_cache_invalidations"] >= 1
+    cleared = conn.proxy.server_stats()
+    assert cleared["proxy"]["plan_cache_invalidations"] == 0
+    assert cleared["storage_bytes"] == after["storage_bytes"]  # computed, not a counter
+
+
 def test_stats_frame_carries_the_aes_batch_counters(conn):
     cur = conn.cursor()
     cur.execute("CREATE TABLE sb (id int, label varchar(30))")
