@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SQLExecutionError
 from repro.sql import ast_nodes as ast
@@ -11,8 +12,10 @@ from repro.sql.expressions import (
     evaluate,
     find_aggregates,
     is_truthy,
+    parse_number,
 )
 from repro.sql.functions import FunctionRegistry
+from repro.sql.indexes import OrderedIndex, key_kind
 from repro.sql.storage import Catalog, Table
 from repro.sql.transactions import TransactionManager
 
@@ -203,77 +206,47 @@ class Executor:
         self, table: Table, where: Optional[ast.Expression]
     ) -> list[tuple[int, dict[str, Any]]]:
         """Use an index to narrow the scan when the WHERE clause allows it."""
-        row_ids = self._index_candidates(table, where)
-        if row_ids is None:
+        path = self._access_path(table, where)
+        if path is None:
             return list(table.scan())
-        return [(row_id, table.get(row_id)) for row_id in sorted(row_ids)]
+        return [(row_id, table.get(row_id)) for row_id in sorted(path())]
 
-    def _index_candidates(
+    def _access_path(
         self, table: Table, where: Optional[ast.Expression]
-    ) -> Optional[set[int]]:
-        if where is None:
-            return None
-        for conjunct in _conjuncts(where):
-            candidate = self._index_for_predicate(table, conjunct)
-            if candidate is not None:
-                return candidate
-        return None
+    ) -> Optional[Callable[[], set[int]]]:
+        """The index probe that serves ``where``, not yet run; None to scan.
 
-    def _where_index_narrowable(
-        self, table: Table, where: Optional[ast.Expression]
-    ) -> bool:
-        """Whether :meth:`_index_candidates` would find a usable index.
-
-        The same per-conjunct analysis, but probing eligibility only -- no
-        candidate row-id set is materialised.
-        """
-        if where is None:
-            return False
-        return any(
-            self._index_for_predicate(table, conjunct, probe=True) is not None
-            for conjunct in _conjuncts(where)
-        )
-
-    def _index_for_predicate(
-        self, table: Table, predicate: ast.Expression, probe: bool = False
-    ):
-        """Row ids matching an indexable predicate, or None if no usable index.
-
-        With ``probe`` the method only answers eligibility (returning True
-        instead of a row-id set), so callers can test index coverage without
-        paying for the lookup.
+        An equality conjunct on a hash or ordered index wins.  Otherwise the
+        range conjuncts on each ordered-indexed column merge into one
+        interval (the tighter bound wins on each side) and the column with
+        the most bounds is probed.  The probe need only return a superset of
+        the answer: callers still check the full WHERE on every candidate.
         """
         indexes = table.indexes
-        if isinstance(predicate, ast.BinaryOp) and predicate.op in ("=", "<", "<=", ">", ">="):
-            column, literal = _column_and_literal(predicate, table)
-            if column is None:
-                return None
-            value = literal.value
-            if predicate.op == "=":
-                if probe:
-                    return True if column in indexes.hash_indexes \
-                        or column in indexes.ordered_indexes else None
-                return indexes.equality_lookup(column, value)
-            if probe:
-                return True if column in indexes.ordered_indexes else None
-            swapped = isinstance(predicate.right, ast.ColumnRef)
-            op = predicate.op
-            if swapped:
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-            if op in ("<", "<="):
-                return indexes.range_lookup(column, None, value, True, op == "<=")
-            return indexes.range_lookup(column, value, None, op == ">=", True)
-        if isinstance(predicate, ast.Between) and not predicate.negated:
-            if isinstance(predicate.expr, ast.ColumnRef) and isinstance(predicate.low, ast.Literal) \
-                    and isinstance(predicate.high, ast.Literal):
-                column = predicate.expr.name
-                if table.has_column(column):
-                    if probe:
-                        return True if column in indexes.ordered_indexes else None
-                    return indexes.range_lookup(
-                        column, predicate.low.value, predicate.high.value, True, True
-                    )
-        return None
+        if where is None or not (indexes.hash_indexes or indexes.ordered_indexes):
+            return None
+        intervals: dict[str, _Interval] = {}
+        for column, op, literal in _index_comparisons(where, table):
+            if op == "=":
+                index = indexes.hash_indexes.get(column)
+                if index is None:
+                    index = indexes.ordered_indexes.get(column)
+                key = _UNRESOLVED if index is None else _index_key(literal, index.kind)
+                if key is not _UNRESOLVED:
+                    return partial(index.lookup, key)
+                continue
+            ordered = indexes.ordered_indexes.get(column)
+            if ordered is None:
+                continue
+            key = _index_key(literal, ordered.kind)
+            if key is not _UNRESOLVED:
+                intervals.setdefault(column, _Interval(ordered)).add(op, key)
+        if not intervals:
+            return None
+        best = max(intervals.values(), key=lambda interval: interval.bounds)
+        return partial(
+            best.index.range, best.low, best.high, best.include_low, best.include_high
+        )
 
     # -- SELECT ---------------------------------------------------------------
     def _execute_select(self, statement: ast.Select) -> ResultSet:
@@ -352,7 +325,7 @@ class Executor:
             return None  # NULL sort keys are absent from the index
         if self._collect_aggregates(statement):
             return None
-        if self._where_index_narrowable(table, statement.where):
+        if self._access_path(table, statement.where) is not None:
             # A selective indexed WHERE (e.g. the TPC-C "latest order for
             # one customer" shape) narrows better than walking the whole
             # ordered index; keep the materialising path for it.
@@ -732,17 +705,74 @@ def _conjuncts(expr: ast.Expression) -> list[ast.Expression]:
     return [expr]
 
 
-def _column_and_literal(
-    predicate: ast.BinaryOp, table: Table
-) -> tuple[Optional[str], ast.Literal]:
-    left, right = predicate.left, predicate.right
-    if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-        if table.has_column(left.name):
-            return left.name, right
-    if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-        if table.has_column(right.name):
-            return right.name, left
-    return None, ast.Literal(None)
+#: Each indexable comparison, and the same comparison with its operands swapped.
+_SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _index_comparisons(
+    where: ast.Expression, table: Table
+) -> Iterator[tuple[str, str, Any]]:
+    """``(column, op, literal)`` per conjunct an index could serve, column first.
+
+    ``literal op column`` is turned round, and a non-negated BETWEEN gives a
+    ``>=`` and a ``<=`` bound.
+    """
+    for conjunct in _conjuncts(where):
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _SWAPPED:
+            left, right, op = conjunct.left, conjunct.right, conjunct.op
+            if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
+                left, right, op = right, left, _SWAPPED[op]
+            if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal) \
+                    and table.has_column(left.name):
+                yield left.name, op, right.value
+        elif isinstance(conjunct, ast.Between) and not conjunct.negated \
+                and isinstance(conjunct.expr, ast.ColumnRef) \
+                and table.has_column(conjunct.expr.name):
+            for op, bound in ((">=", conjunct.low), ("<=", conjunct.high)):
+                if isinstance(bound, ast.Literal):
+                    yield conjunct.expr.name, op, bound.value
+
+
+def _index_key(literal: Any, kind: Optional[type]) -> Any:
+    """``literal`` as the key the WHERE check compares with index keys of ``kind``.
+
+    Mirrors ``_coerce_comparison``: a numeric string probes a numeric index
+    as its number.  Returns ``_UNRESOLVED`` -- scan instead -- for NULL, an
+    empty or mixed-kind index, and any literal the check would not compare
+    with the keys as they are (which a probe cannot reproduce).
+    """
+    if literal is None or kind is None:
+        return _UNRESOLVED
+    if key_kind(literal) is kind:
+        return literal
+    if kind is float and isinstance(literal, str):
+        try:
+            return parse_number(literal)
+        except ValueError:
+            pass
+    return _UNRESOLVED
+
+
+class _Interval:
+    """The range conjuncts on one ordered-indexed column, merged."""
+
+    __slots__ = ("index", "low", "high", "include_low", "include_high", "bounds")
+
+    def __init__(self, index: OrderedIndex):
+        self.index = index
+        self.low = self.high = None
+        self.include_low = self.include_high = True
+        self.bounds = 0
+
+    def add(self, op: str, key: Any) -> None:
+        """Intersect with ``column op key``."""
+        self.bounds += 1
+        inclusive = op in ("<=", ">=")
+        if op in (">", ">="):
+            if self.low is None or key > self.low or (key == self.low and not inclusive):
+                self.low, self.include_low = key, inclusive
+        elif self.high is None or key < self.high or (key == self.high and not inclusive):
+            self.high, self.include_high = key, inclusive
 
 
 def _single_table(

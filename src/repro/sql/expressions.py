@@ -144,7 +144,7 @@ def evaluate(
         high = evaluate(expr.high, context, functions, aggregate_values)
         if value is None or low is None or high is None:
             return None
-        result = low <= value <= high
+        result = _compare("<=", low, value) and _compare("<=", value, high)
         return not result if expr.negated else result
     if isinstance(expr, ast.Like):
         value = evaluate(expr.expr, context, functions, aggregate_values)
@@ -167,16 +167,21 @@ def _compare_equal(a: Any, b: Any) -> bool:
         return False
 
 
+def parse_number(text: str) -> int | float:
+    """A string compared with a number, read as one (ValueError if it is not)."""
+    return float(text) if "." in text else int(text)
+
+
 def _coerce_comparison(a: Any, b: Any) -> tuple[Any, Any]:
     """Allow numeric-vs-string comparisons the way MySQL loosely does."""
     if isinstance(a, (int, float)) and isinstance(b, str):
         try:
-            return a, float(b) if "." in b else int(b)
+            return a, parse_number(b)
         except ValueError:
             return str(a), b
     if isinstance(b, (int, float)) and isinstance(a, str):
         try:
-            return float(a) if "." in a else int(a), b
+            return parse_number(a), b
         except ValueError:
             return a, str(b)
     if isinstance(a, bool):
@@ -184,6 +189,27 @@ def _coerce_comparison(a: Any, b: Any) -> tuple[Any, Any]:
     if isinstance(b, bool):
         b = int(b)
     return a, b
+
+
+def _compare(op: str, left: Any, right: Any) -> bool:
+    """``left op right`` for two non-NULL values, after loose coercion."""
+    a, b = _coerce_comparison(left, right)
+    try:
+        if op == "=":
+            return a == b
+        if op == "!=":
+            return a != b
+        if op == "<":
+            return a < b
+        if op == "<=":
+            return a <= b
+        if op == ">":
+            return a > b
+        return a >= b
+    except TypeError as exc:
+        raise SQLExecutionError(
+            f"cannot compare {type(left).__name__} and {type(right).__name__}"
+        ) from exc
 
 
 def _evaluate_binary(
@@ -204,23 +230,7 @@ def _evaluate_binary(
         return None
 
     if op in ("=", "!=", "<", "<=", ">", ">="):
-        a, b = _coerce_comparison(left, right)
-        try:
-            if op == "=":
-                return a == b
-            if op == "!=":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
-        except TypeError as exc:
-            raise SQLExecutionError(
-                f"cannot compare {type(left).__name__} and {type(right).__name__}"
-            ) from exc
+        return _compare(op, left, right)
 
     if op == "+":
         return left + right

@@ -10,7 +10,15 @@ indexes and collapses in Figure 11.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Iterable, Optional
+
+_KEY = itemgetter(0)
+
+
+def key_kind(value: Any) -> type:
+    """The class an index key compares within: ints, floats and bools are one."""
+    return float if isinstance(value, (int, float)) else type(value)
 
 
 class HashIndex:
@@ -19,11 +27,23 @@ class HashIndex:
     def __init__(self, column: str):
         self.column = column
         self._buckets: dict[Any, set[int]] = {}
+        #: Number of buckets per key kind (see :attr:`kind`).
+        self._kinds: dict[type, int] = {}
+
+    @property
+    def kind(self) -> Optional[type]:
+        """The :func:`key_kind` of every key, or None when empty or mixed."""
+        return next(iter(self._kinds)) if len(self._kinds) == 1 else None
 
     def insert(self, value: Any, row_id: int) -> None:
         if value is None:
             return
-        self._buckets.setdefault(value, set()).add(row_id)
+        bucket = self._buckets.get(value)
+        if bucket is None:
+            bucket = self._buckets[value] = set()
+            kind = key_kind(value)
+            self._kinds[kind] = self._kinds.get(kind, 0) + 1
+        bucket.add(row_id)
 
     def remove(self, value: Any, row_id: int) -> None:
         if value is None:
@@ -33,6 +53,10 @@ class HashIndex:
             bucket.discard(row_id)
             if not bucket:
                 del self._buckets[value]
+                kind = key_kind(value)
+                self._kinds[kind] -= 1
+                if not self._kinds[kind]:
+                    del self._kinds[kind]
 
     def lookup(self, value: Any) -> set[int]:
         if value is None:
@@ -50,6 +74,11 @@ class OrderedIndex:
         self.column = column
         self._entries: list[tuple[Any, int]] = []
 
+    @property
+    def kind(self) -> Optional[type]:
+        """The :func:`key_kind` of every key (mutually ordered), or None when empty."""
+        return key_kind(self._entries[0][0]) if self._entries else None
+
     def insert(self, value: Any, row_id: int) -> None:
         if value is None:
             return
@@ -65,12 +94,7 @@ class OrderedIndex:
     def lookup(self, value: Any) -> set[int]:
         if value is None:
             return set()
-        result = set()
-        position = bisect.bisect_left(self._entries, (value, -1))
-        while position < len(self._entries) and self._entries[position][0] == value:
-            result.add(self._entries[position][1])
-            position += 1
-        return result
+        return self.range(value, value)
 
     def scan_sorted(self, descending: bool = False) -> Iterable[int]:
         """Row ids in index-key order (ties broken by ascending row id).
@@ -100,19 +124,19 @@ class OrderedIndex:
         include_low: bool = True,
         include_high: bool = True,
     ) -> set[int]:
-        """Row ids whose value falls in the given (possibly open) interval."""
-        result = set()
-        for value, row_id in self._entries:
-            if low is not None:
-                if value < low or (value == low and not include_low):
-                    continue
-            if high is not None:
-                if value > high:
-                    break
-                if value == high and not include_high:
-                    continue
-            result.add(row_id)
-        return result
+        """Row ids whose value falls in the given (possibly open) interval.
+
+        Both ends are found by bisection: O(log n + k) for k rows returned.
+        """
+        entries = self._entries
+        start, end = 0, len(entries)
+        if low is not None:
+            find = bisect.bisect_left if include_low else bisect.bisect_right
+            start = find(entries, low, key=_KEY)
+        if high is not None:
+            find = bisect.bisect_right if include_high else bisect.bisect_left
+            end = find(entries, high, key=_KEY)
+        return {row_id for _value, row_id in entries[start:end]}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -147,22 +171,6 @@ class IndexSet:
             index.remove(row.get(column), row_id)
         for column, index in self.ordered_indexes.items():
             index.remove(row.get(column), row_id)
-
-    def equality_lookup(self, column: str, value: Any) -> Optional[set[int]]:
-        """Row ids matching an equality predicate, or None if no usable index."""
-        if column in self.hash_indexes:
-            return self.hash_indexes[column].lookup(value)
-        if column in self.ordered_indexes:
-            return self.ordered_indexes[column].lookup(value)
-        return None
-
-    def range_lookup(
-        self, column: str, low: Any, high: Any, include_low: bool, include_high: bool
-    ) -> Optional[set[int]]:
-        """Row ids matching a range predicate, or None if no usable index."""
-        if column in self.ordered_indexes:
-            return self.ordered_indexes[column].range(low, high, include_low, include_high)
-        return None
 
     def populate(self, rows: Iterable[tuple[int, dict[str, Any]]]) -> None:
         for row_id, row in rows:

@@ -5,7 +5,9 @@ The generator emits streams over a small fleet of tables with typed columns
 multi-row INSERTs, parameterized statements, predicate-rich SELECTs
 (WHERE / ORDER BY / LIMIT / GROUP BY / HAVING / DISTINCT), equi- and LEFT
 joins, UPDATEs (including homomorphic ``col = col + k`` increments), DELETEs
-and transactions with ROLLBACK.
+and transactions with ROLLBACK.  Predicates include two-sided ranges on the
+indexed ``id``/``qty`` columns, which the encrypted lanes serve by bisecting
+the ordered index over the Ord onion.
 
 Every emitted statement is constrained to the SQL surface that all lanes of
 the differential oracle execute with identical semantics:
@@ -162,6 +164,8 @@ class StatementGenerator:
         column = rng.choice(columns)
         prefix = f"{qualifier}." if qualifier else ""
         roll = rng.random()
+        if column in ("id", "qty") and roll < 0.15:
+            return self._two_sided_range(f"{prefix}{column}", column, table)
         if roll < 0.45:
             op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
             return f"{prefix}{column} {op} {_sql_literal(self._predicate_literal(column, table))}"
@@ -184,6 +188,26 @@ class StatementGenerator:
         word = rng.choice(VOCAB)
         negated = "NOT " if rng.random() < 0.25 else ""
         return f"{prefix}notes {negated}LIKE '%{word}%'"
+
+    def _two_sided_range(self, ref: str, column: str, table: _TableState) -> str:
+        """A range bounded on both sides, over an indexed column.
+
+        These are the shapes an ordered index serves from one bisection to
+        the other once their bounds are merged: both operand orders, an
+        empty interval, and a BETWEEN tightened by an extra bound.
+        """
+        rng = self.rng
+        low, high = sorted(self._predicate_literal(column, table) for _ in range(2))
+        shape = rng.randrange(4)
+        if shape == 0:
+            text = f"{ref} >= {low} AND {ref} < {high}"
+        elif shape == 1:
+            text = f"{low} <= {ref} AND {ref} <= {high}"
+        elif shape == 2:
+            text = f"{ref} > {low} AND {ref} < {low}"
+        else:
+            text = f"{ref} BETWEEN {low} AND {high} AND {ref} < {rng.randint(low, high)}"
+        return f"({text})"
 
     def _predicate(self, table: _TableState, qualifier: str = "",
                    allow_stale: bool = False) -> str:
