@@ -6,12 +6,8 @@ same name, and compares all throughput-like numeric leaves (``q/s``,
 better).  A
 fresh value more than ``--threshold`` (default 30%) below its baseline fails
 the run, so silent perf regressions turn into red CI instead of a quiet diff.
-
-Storage metrics run the other way: any ``bytes_per_row`` leaf (the
-ciphertext/cache footprints of ``BENCH_storage_expansion.json``) is
-lower-is-better, and growing one by more than ``--growth-threshold``
-(default 20%) over its baseline fails the run -- a ciphertext-layout change
-that silently re-inflates the packed-HOM diet is a regression too.
+(Per-row storage is guarded end to end instead: ``storage_expansion_x`` in
+``BENCHMARK.json``.)
 
 The fig10 scaling JSON additionally gets a **slope check** on its fresh
 measurements: with the real-process drivers, the highest worker count's
@@ -45,8 +41,6 @@ import sys
 from pathlib import Path
 
 _HIGHER_IS_BETTER = ("q/s", "qps", "speedup", "per_s", "throughput")
-#: Lower-is-better storage leaves (ciphertext / cache footprints).
-_LOWER_IS_BETTER = ("bytes_per_row",)
 _EXCLUDE = ("loss", "overhead")
 
 
@@ -57,22 +51,14 @@ def _is_throughput_key(key: str) -> bool:
     return any(word in lowered for word in _HIGHER_IS_BETTER)
 
 
-def _is_storage_key(key: str) -> bool:
-    return any(word in key.lower() for word in _LOWER_IS_BETTER)
-
-
 def collect_metrics(node, path: str = "") -> dict[str, float]:
-    """Flatten a BENCH payload into ``{json-path: value}`` metric leaves.
-
-    Collects both throughput leaves (higher is better) and storage leaves
-    (lower is better); ``compare_file`` picks the direction per leaf.
-    """
+    """Flatten a BENCH payload into ``{json-path: value}`` throughput leaves."""
     metrics: dict[str, float] = {}
     if isinstance(node, dict):
         for key, value in node.items():
             child_path = f"{path}.{key}" if path else key
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                if _is_throughput_key(key) or _is_storage_key(key):
+                if _is_throughput_key(key):
                     metrics[child_path] = float(value)
             else:
                 metrics.update(collect_metrics(value, child_path))
@@ -164,8 +150,7 @@ def check_recovery_overhead(
 
 
 def compare_file(
-    baseline_path: Path, fresh_path: Path, threshold: float,
-    growth_threshold: float = 0.20,
+    baseline_path: Path, fresh_path: Path, threshold: float
 ) -> tuple[list[str], list[str]]:
     """Return (failures, notes) for one baseline/fresh pair."""
     name = baseline_path.name
@@ -184,43 +169,13 @@ def compare_file(
         if new is None:
             failures.append(f"{name}: metric {path} disappeared (baseline {old:g})")
             continue
-        leaf = path.rsplit(".", 1)[-1]
-        if _is_storage_key(leaf):
-            if old <= 0:
-                # The growth ratio divides by the baseline: a zero (or
-                # negative) baseline can't bound anything, and silently
-                # passing would disable the guard for exactly the metric it
-                # exists to watch.  Fail loudly with the remedy instead.
-                failures.append(
-                    f"{name}: {path} baseline is {old:g}; cannot check "
-                    f"growth against a zero/negative baseline -- regenerate "
-                    f"baselines (cd benchmarks && BENCH_QUICK=1 python -m "
-                    f"pytest -q -s; cp ../BENCH_*.json baselines/)"
-                )
-            elif new > old * (1.0 + growth_threshold):
-                failures.append(
-                    f"{name}: {path} grew {old:g} -> {new:g} "
-                    f"({(new / old - 1) * 100:.0f}% growth, "
-                    f"limit {growth_threshold * 100:.0f}%)"
-                )
-            else:
-                notes.append(f"{name}: {path} {old:g} -> {new:g} ok")
-        elif old > 0 and new < old * (1.0 - threshold):
+        if old > 0 and new < old * (1.0 - threshold):
             failures.append(
                 f"{name}: {path} regressed {old:g} -> {new:g} "
                 f"({(1 - new / old) * 100:.0f}% drop, limit {threshold * 100:.0f}%)"
             )
         else:
             notes.append(f"{name}: {path} {old:g} -> {new:g} ok")
-    for path, new in sorted(fresh_metrics.items()):
-        leaf = path.rsplit(".", 1)[-1]
-        if _is_storage_key(leaf) and path not in baseline_metrics:
-            # A storage leaf with no baseline is unbounded growth waiting to
-            # be missed; the committed baselines must cover it.
-            failures.append(
-                f"{name}: storage metric {path} has no baseline "
-                f"(fresh {new:g}) -- regenerate baselines"
-            )
     return failures, notes
 
 
@@ -233,9 +188,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory holding the freshly recorded BENCH_*.json")
     parser.add_argument("--threshold", type=float, default=0.30,
                         help="maximum tolerated fractional drop (default 0.30)")
-    parser.add_argument("--growth-threshold", type=float, default=0.20,
-                        help="maximum tolerated fractional growth of "
-                             "lower-is-better storage metrics (default 0.20)")
     parser.add_argument("--recovery-overhead-limit", type=float, default=5.0,
                         help="maximum tolerated steady-state catalog "
                              "write-through overhead in percent (default 5.0)")
@@ -251,8 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     compared = 0
     for baseline_path in baselines:
         failures, notes = compare_file(
-            baseline_path, args.fresh_dir / baseline_path.name, args.threshold,
-            args.growth_threshold,
+            baseline_path, args.fresh_dir / baseline_path.name, args.threshold
         )
         all_failures.extend(failures)
         for note in notes:
@@ -286,8 +237,7 @@ def main(argv: list[str] | None = None) -> int:
               "pair was skipped; check quick_mode consistency", file=sys.stderr)
         return 2
     print(f"benchmark guard: {compared} metrics within bounds "
-          f"(drop {args.threshold * 100:.0f}%, growth "
-          f"{args.growth_threshold * 100:.0f}%) across {len(baselines)} files")
+          f"(drop {args.threshold * 100:.0f}%) across {len(baselines)} files")
     return 0
 
 

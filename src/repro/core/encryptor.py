@@ -6,8 +6,9 @@ objects (RND, DET, OPE, SEARCH, Paillier, JOIN), all keyed through the key
 manager implementing Equation (1), and implements the value encodings:
 
 * integer-kind columns are mapped to unsigned 64-bit values (offset 2^63)
-  for RND/DET, to unsigned 32-bit values (offset 2^31) for OPE, and into the
-  Paillier plaintext group (negatives as ``n - |v|``) for HOM;
+  for RND/DET, to unsigned 32-bit values (offset 2^31) for OPE, and into
+  one offset-encoded slot of their table's packed Paillier plaintext for
+  HOM (:class:`~repro.crypto.paillier.PackingConfig`);
 * text-kind columns are encrypted as UTF-8 bytes; for OPE the first four
   bytes provide a (prefix) order-preserving encoding;
 * DECIMAL/FLOAT columns are scaled by 10^4 and treated as integers.
@@ -30,7 +31,7 @@ from repro.crypto.join_adj import (
 )
 from repro.crypto.keys import KeyManager
 from repro.crypto.ope import OPE
-from repro.crypto.paillier import Paillier, PaillierKeyPair, PackingConfig
+from repro.crypto.paillier import PaillierKeyPair, PackingConfig
 from repro.crypto.rnd import RND
 from repro.crypto.search import SEARCH
 from repro.errors import CryptoError, ProxyError
@@ -69,17 +70,16 @@ class Encryptor:
         keys: KeyManager,
         joins: JoinManager,
         paillier: PaillierKeyPair,
+        packing: PackingConfig,
         use_ope_cache: bool = True,
         cache: Optional[CryptoCache] = None,
         pool: Optional[CryptoWorkerPool] = None,
-        packing: Optional[PackingConfig] = None,
     ):
         self.keys = keys
         self.joins = joins
         self.paillier = paillier
-        self.hom = Paillier(paillier.public)
-        #: Packed-HOM slot layout (§8.4); ``None`` keeps the one-ciphertext-
-        #: per-value scalar behaviour.  Must match the schema's ``hom_slots``.
+        #: Packed-HOM slot layout (§8.4); the schema's ``hom_slots`` is
+        #: ``packing.slots_for(n)``.
         self.packing = packing
         self.cache = cache if cache is not None else CryptoCache(paillier, enabled=use_ope_cache)
         self.use_ope_cache = use_ope_cache
@@ -182,17 +182,6 @@ class Encryptor:
         if column.kind == "integer":
             return self._from_int(column, encoded - _INT32_OFFSET)
         return encoded.to_bytes(4, "big").rstrip(b"\x00").decode("utf-8", "replace")
-
-    def _to_hom_int(self, value: Any, column: ColumnMeta) -> int:
-        encoded = self._to_int(column, value)
-        n = self.paillier.public.n
-        return encoded % n
-
-    def _from_hom_int(self, decrypted: int, column: ColumnMeta) -> Any:
-        n = self.paillier.public.n
-        if decrypted > n // 2:
-            decrypted -= n
-        return self._from_int(column, decrypted)
 
     # ------------------------------------------------------------------
     # Onion encryption (INSERT path)
@@ -402,10 +391,10 @@ class Encryptor:
         """Encrypt one application column of a row batch into its onion parts.
 
         Returns ``{anon_column_name: [cell, ...]}`` with one list entry per
-        input value (NULLs stay NULL in every part; a packed member's Add
-        part lives in the shared group cell, see
-        :meth:`encrypt_hom_group_many`).  Deterministic layers are
-        deduplicated; RND and HOM randomness stays fresh per row.
+        input value (NULLs stay NULL in every part; the Add part lives in
+        the table's shared group cell, see :meth:`encrypt_hom_group_many`).
+        Deterministic layers are deduplicated; RND randomness stays fresh
+        per row.
         """
         result: dict[str, list] = {}
         if column.plaintext:
@@ -419,7 +408,7 @@ class Encryptor:
             result[column.iv_column] = ivs
         dense = [values[i] for i in non_null]
         for onion, state in column.onions.items():
-            if onion is Onion.ADD and column.hom_packed:
+            if onion is Onion.ADD:
                 continue  # produced per group via encrypt_hom_group_many
             cells = self._encrypt_onion_column(
                 column, onion, state.level, dense, [ivs[i] for i in non_null]
@@ -467,10 +456,6 @@ class Encryptor:
                     raise CryptoError("RND encryption requires an IV")
                 return self._rnd_for(column, Onion.ORD).encrypt_int_many(ope_cts, ivs)
             raise ProxyError(f"invalid Ord onion level {level}")
-        if onion is Onion.ADD:
-            return self._hom_encrypt_many(
-                [self._to_hom_int(v, column) for v in values]
-            )
         if onion is Onion.SEARCH:
             texts = [v if isinstance(v, str) else str(v) for v in values]
             return [
@@ -497,10 +482,6 @@ class Encryptor:
             cells = self._ope_for(column).encrypt_many(
                 [self._to_ope_int(column, v) for v in dense]
             )
-        elif onion is Onion.ADD:
-            cells = self._hom_encrypt_many(
-                [self._to_hom_int(v, column) for v in dense]
-            )
         else:
             raise ProxyError(f"constants cannot be encrypted for onion {onion}")
         sparse: list = [None] * count
@@ -509,36 +490,25 @@ class Encryptor:
         return sparse
 
     def hom_delta_many(self, column: ColumnMeta, deltas: Sequence[Any]) -> list:
-        """Paillier encryptions of the increments of ``SET c = c + k``."""
-        if column.hom_packed:
-            n = self.paillier.public.n
-            return self._hom_encrypt_many(
-                [
-                    self.packing.encode_delta(
-                        self._to_int(column, d), column.hom_slot, n
-                    )
-                    for d in deltas
-                ]
-            )
+        """Paillier encryptions of the increments of ``SET c = c + k``.
+
+        Each delta is pre-shifted into the column's slot of its group cell.
+        """
+        n = self.paillier.public.n
         return self._hom_encrypt_many(
-            [self._to_hom_int(d, column) for d in deltas]
+            [
+                self.packing.encode_delta(self._to_int(column, d), column.hom_slot, n)
+                for d in deltas
+            ]
         )
 
     # ------------------------------------------------------------------
     # Packed HOM groups (§8.4): one ciphertext per row per group
     # ------------------------------------------------------------------
-    def _require_packing(self) -> PackingConfig:
-        if self.packing is None:
-            raise CryptoError(
-                "schema has packed HOM groups but the encryptor has no PackingConfig"
-            )
-        return self.packing
-
     def _encode_group_row(
         self, members: Sequence[ColumnMeta], values: Sequence[Any]
     ) -> int:
-        config = self._require_packing()
-        return config.encode_cell(
+        return self.packing.encode_cell(
             [
                 None if value is None else self._to_int(column, value)
                 for column, value in zip(members, values)
@@ -576,7 +546,7 @@ class Encryptor:
         randomness.  Slots not assigned -- including any pending homomorphic
         increments folded into them -- survive bit-exactly.
         """
-        config = self._require_packing()
+        config = self.packing
         plaintext = self.paillier.decrypt(old_ciphertext)
         width = config.slot_width
         for column, value in assignments:
@@ -589,20 +559,19 @@ class Encryptor:
         return self.paillier.encrypt(plaintext)
 
     def decrypt_hom_avgs(self, column: ColumnMeta, ciphertexts: Sequence[Any]) -> list:
-        """AVG results for a *packed* column: count comes from the slot.
+        """AVG results: the divisor comes from the slot.
 
         ``COUNT(shared_group_column)`` would count rows where *any* member is
-        non-NULL, so packed AVG derives the divisor from the slot's count
-        subfield instead of a separate COUNT item.
+        non-NULL, so AVG derives the divisor from the slot's count subfield
+        instead of a separate COUNT item.
         """
-        config = self._require_packing()
         out = []
         for ciphertext in ciphertexts:
             if ciphertext is None:
                 out.append(None)
                 continue
             count, total = self.paillier.decrypt_packed_sum(
-                ciphertext, column.hom_slot, config
+                ciphertext, column.hom_slot, self.packing
             )
             out.append(None if count == 0 else self._from_int(column, total) / count)
         return out
@@ -659,12 +628,10 @@ class Encryptor:
                 value = self._rnd_for(column, Onion.ORD).decrypt_int(value, iv)
             return self._from_ope_int(column, self._ope_for(column).decrypt(value))
         if onion is Onion.ADD:
-            if column.hom_packed:
-                cell = self._require_packing().decode_cell(
-                    self.paillier.decrypt(ciphertext), column.hom_slot
-                )
-                return None if cell is None else self._from_int(column, cell)
-            return self._from_hom_int(self.paillier.decrypt(ciphertext), column)
+            cell = self.packing.decode_cell(
+                self.paillier.decrypt(ciphertext), column.hom_slot
+            )
+            return None if cell is None else self._from_int(column, cell)
         if onion is Onion.SEARCH:
             raise ProxyError("SEARCH ciphertexts cannot be decrypted to plaintext")
         raise ProxyError(f"unknown onion {onion}")
@@ -673,14 +640,12 @@ class Encryptor:
         """Decrypt the result of the Paillier SUM aggregate UDF."""
         if ciphertext is None:
             return None
-        if column.hom_packed:
-            count, total = self.paillier.decrypt_packed_sum(
-                ciphertext, column.hom_slot, self._require_packing()
-            )
-            # SUM over rows whose member is always NULL is NULL, even though
-            # the shared packed cells themselves are never NULL (PR 4 rule).
-            return None if count == 0 else self._from_int(column, total)
-        return self._from_hom_int(self.paillier.decrypt(ciphertext), column)
+        count, total = self.paillier.decrypt_packed_sum(
+            ciphertext, column.hom_slot, self.packing
+        )
+        # SUM over rows whose member is always NULL is NULL, even though
+        # the shared packed cells themselves are never NULL (PR 4 rule).
+        return None if count == 0 else self._from_int(column, total)
 
     # ------------------------------------------------------------------
     # Column-batch decryption (bulk result path)
@@ -755,15 +720,11 @@ class Encryptor:
                     decrypted = None
             if decrypted is None:
                 decrypted = self.paillier.decrypt_many(dense)
-            if column.hom_packed:
-                config = self._require_packing()
-                cells = [config.decode_cell(v, column.hom_slot) for v in decrypted]
-                plains = [
-                    None if cell is None else self._from_int(column, cell)
-                    for cell in cells
-                ]
-            else:
-                plains = [self._from_hom_int(v, column) for v in decrypted]
+            cells = [self.packing.decode_cell(v, column.hom_slot) for v in decrypted]
+            plains = [
+                None if cell is None else self._from_int(column, cell)
+                for cell in cells
+            ]
         elif onion is Onion.SEARCH:
             raise ProxyError("SEARCH ciphertexts cannot be decrypted to plaintext")
         else:
@@ -775,12 +736,7 @@ class Encryptor:
 
     def decrypt_hom_sums(self, column: ColumnMeta, ciphertexts: Sequence[Any]) -> list:
         """Batch form of :meth:`decrypt_hom_sum`."""
-        if column.hom_packed:
-            return [self.decrypt_hom_sum(column, ct) for ct in ciphertexts]
-        return [
-            None if ct is None else self._from_hom_int(self.paillier.decrypt(ct), column)
-            for ct in ciphertexts
-        ]
+        return [self.decrypt_hom_sum(column, ct) for ct in ciphertexts]
 
     # ------------------------------------------------------------------
     # Server-side layer keys (handed out during onion adjustment)

@@ -32,8 +32,9 @@ from repro.core.rewriter import RewritePlan, Rewriter
 from repro.core.results import decrypt_results
 from repro.core.schema import ProxySchema
 from repro.core.training import TrainingReport, build_report
+from repro.crypto import paillier as paillier_scheme
 from repro.crypto.keys import KeyManager, MasterKey
-from repro.crypto.paillier import PackingConfig, PaillierKeyPair
+from repro.crypto.paillier import PaillierKeyPair
 from repro.durability import CatalogState, MetadataCatalog, tag_value, untag_value
 from repro.errors import (
     CatalogError,
@@ -161,7 +162,6 @@ class CryptDBProxy:
         plan_cache_size: int = 256,
         workers: int = 0,
         parallelism: Optional[ParallelConfig] = None,
-        hom_packing: Union[bool, PackingConfig] = True,
         cache_budget_bytes: Optional[int] = None,
         catalog: Optional[Union[str, MetadataCatalog]] = None,
     ):
@@ -169,21 +169,12 @@ class CryptDBProxy:
         self.master_key = master_key if master_key is not None else MasterKey.generate()
         self.keys = KeyManager(self.master_key)
         self.paillier = paillier if paillier is not None else PaillierKeyPair.generate(paillier_bits)
+        # Every Add onion lives in a slot of a packed Paillier ciphertext
+        # (§8.4).  A modulus too small for one slot is refused here, before
+        # any worker process or backend state exists.
+        packing = paillier_scheme.PACKING
+        hom_slots = packing.slots_for(self.paillier.public.n)
         self.joins = JoinManager(self.master_key.material)
-        # Packed HOM slots (§8.4): ``True`` uses the default layout, a
-        # PackingConfig customises it, ``False`` keeps one scalar Paillier
-        # ciphertext per value (the ``enc-packed-off`` conformance lane).
-        if hom_packing is True:
-            packing: Optional[PackingConfig] = PackingConfig()
-        elif hom_packing:
-            packing = hom_packing
-        else:
-            packing = None
-        if packing is not None and packing.slot_width >= self.paillier.public.n.bit_length():
-            # A demo-sized modulus that cannot hold even one slot falls back
-            # to scalar ciphertexts rather than refusing to start.
-            packing = None
-        self.hom_packing = packing
         self.cache = CryptoCache(
             self.paillier,
             enabled=use_ciphertext_cache,
@@ -205,19 +196,12 @@ class CryptDBProxy:
             self.keys,
             self.joins,
             self.paillier,
+            packing,
             use_ope_cache=use_ciphertext_cache,
             cache=self.cache,
             pool=self.pool,
-            packing=self.hom_packing,
         )
-        self.schema = ProxySchema(
-            anonymize_names=anonymize_names,
-            hom_slots=(
-                self.hom_packing.slots_for(self.paillier.public.n)
-                if self.hom_packing is not None
-                else None
-            ),
-        )
+        self.schema = ProxySchema(hom_slots, anonymize_names=anonymize_names)
         self.rewriter = Rewriter(
             self.schema, self.encryptor, self.joins, in_proxy_processing=in_proxy_processing
         )
@@ -241,12 +225,8 @@ class CryptDBProxy:
         self._computation_log: dict[tuple[str, str], set] = {}
         self._unsupported_log: list[str] = []
         self._training = False
-        udfs.install_udfs(self.db, self.paillier.public, packing=self.hom_packing)
+        udfs.install_udfs(self.db, self.paillier.public, packing)
         if getattr(self.db, "is_sharded", False):
-            # Hand the merge layer the Paillier *public* key (and packing
-            # layout) so per-shard HOM partials recombine homomorphically at
-            # the backend -- the private key never leaves the proxy.
-            self.db.configure_crypto(self.paillier.public, self.hom_packing)
             self.stats.shard = self.db
         # Durable metadata catalog: the proxy writes a WAL record through at
         # every metadata mutation, and a catalog with history rebuilds this
@@ -420,14 +400,11 @@ class CryptDBProxy:
                 anon_columns.append(ColumnDef(column_def.name, column_def.data_type))
                 continue
             for onion, state in column.onions.items():
-                if onion is Onion.ADD and column.hom_packed:
-                    continue  # stored once per group, below
                 if onion in (Onion.EQ, Onion.SEARCH):
                     anon_columns.append(ColumnDef(state.anon_name, BLOB()))
                 elif onion is Onion.ORD:
                     anon_columns.append(ColumnDef(state.anon_name, BIGINT()))
-                elif onion is Onion.ADD:
-                    anon_columns.append(ColumnDef(state.anon_name, BLOB()))
+                # Add onions are stored once per group, below.
             anon_columns.append(ColumnDef(column.iv_column, BLOB()))
         for group in table_meta.hom_groups:
             # One shared packed-Add ciphertext column per group (§8.4).

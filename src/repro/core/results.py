@@ -7,8 +7,8 @@ per-row IV column the rewriter appended when the Eq onion was still at RND)
 is sliced out of the server rows, decrypted in one call -- deduplicating
 repeated ciphertexts through the cache subsystem -- and the plaintext
 columns are zipped back into rows under the application's original column
-names.  AVG is recombined from its SUM and COUNT components and any
-in-proxy ordering (§3.5.1) is applied at the end.
+names.  AVG divides the decrypted packed sum by the row count carried in
+the same slot, and any in-proxy ordering (§3.5.1) is applied at the end.
 """
 
 from __future__ import annotations
@@ -57,16 +57,9 @@ def _decrypt_column(
     if spec.kind == "hom_sum":
         return encryptor.decrypt_hom_sums(spec.column, values)
     if spec.kind == "avg":
-        if spec.extra_index is None:
-            # Packed column: the divisor is the slot's count subfield, read
-            # out of the same decrypted aggregate (no COUNT item shipped).
-            return encryptor.decrypt_hom_avgs(spec.column, values)
-        totals = encryptor.decrypt_hom_sums(spec.column, values)
-        counts = [row[spec.extra_index] for row in server_rows]
-        return [
-            None if not count else total / count
-            for total, count in zip(totals, counts)
-        ]
+        # The divisor is the slot's count subfield, read out of the same
+        # decrypted aggregate (no COUNT item shipped).
+        return encryptor.decrypt_hom_avgs(spec.column, values)
     if spec.kind == "ope_agg":
         return encryptor.decrypt_column(spec.column, spec.onion, spec.level, values, None)
     raise ValueError(f"unknown output spec kind {spec.kind}")

@@ -44,7 +44,6 @@ class OutputSpec:
     onion: Optional[Onion] = None
     level: Optional[EncryptionScheme] = None
     iv_index: Optional[int] = None
-    extra_index: Optional[int] = None
 
 
 @dataclass
@@ -383,14 +382,14 @@ class Rewriter:
     def _anon_parts(column: ColumnMeta) -> list[str]:
         """Anonymised DBMS columns storing one application column's value.
 
-        A packed member's Add part lives in the table's shared group
-        ciphertext and is written per *group* (INSERT) or through the
-        read-modify-write path (UPDATE), never as a per-column part.
+        The Add part lives in the table's shared group ciphertext and is
+        written per *group* (INSERT) or through the read-modify-write path
+        (UPDATE), never as a per-column part.
         """
         parts = [
             state.anon_name
             for onion, state in column.onions.items()
-            if not (onion is Onion.ADD and column.hom_packed)
+            if onion is not Onion.ADD
         ]
         if column.iv_column:
             parts.append(column.iv_column)
@@ -871,18 +870,12 @@ class Rewriter:
                 onion, _ = self._require(plan, column, ComputationClass.ADDITION)
                 ref = ast.ColumnRef(column.onion_state(Onion.ADD).anon_name, qualifier)
                 index = add_item(ast.FunctionCall(udfs.HOM_SUM, [ref]), label)
-                if name == "SUM":
-                    return OutputSpec("hom_sum", label, index, column=column)
-                if column.hom_packed:
-                    # COUNT over the shared packed column would count rows
-                    # where *any* group member is non-NULL; the slot's count
-                    # subfield is the correct divisor and comes for free with
-                    # the decrypted sum.
-                    return OutputSpec("avg", label, index, column=column)
-                count_index = add_item(ast.FunctionCall("COUNT", [ref]), label + "__count")
-                return OutputSpec(
-                    "avg", label, index, column=column, extra_index=count_index
-                )
+                # AVG ships no COUNT item: COUNT over the shared packed column
+                # would count rows where *any* group member is non-NULL; the
+                # slot's count subfield is the correct divisor and comes for
+                # free with the decrypted sum.
+                kind = "hom_sum" if name == "SUM" else "avg"
+                return OutputSpec(kind, label, index, column=column)
             onion, level = self._require(plan, column, ComputationClass.ORDER)
             ref = ast.ColumnRef(column.onion_state(Onion.ORD).anon_name, qualifier)
             index = add_item(ast.FunctionCall(name, [ref]), label)
@@ -963,7 +956,7 @@ class Rewriter:
                 if column.plaintext:
                     row.append(ast.Literal(expr.value))
                     continue
-                # A fresh IV (and HOM randomness) is baked into the plan.
+                # A fresh IV is baked into the plan.
                 plan.cacheable = False
                 encrypted = self.encryptor.encrypt_row_value(column, expr.value)
                 row.extend(ast.Literal(encrypted.get(part)) for part in parts)
@@ -1047,7 +1040,7 @@ class Rewriter:
             if isinstance(expr, ast.Placeholder):
                 self._record(plan, column, ComputationClass.NONE)
                 assignments.extend(self._row_value_slots(plan, expr, column))
-                if column.hom_packed:
+                if column.has_onion(Onion.ADD):
                     self._register_hom_rmw(plan, table_meta, column, expr.index, None)
                 continue
             if isinstance(expr, ast.Literal):
@@ -1056,7 +1049,7 @@ class Rewriter:
                 plan.cacheable = False
                 encrypted = self.encryptor.encrypt_row_value(column, expr.value)
                 assignments.extend((name, ast.Literal(value)) for name, value in encrypted.items())
-                if column.hom_packed:
+                if column.has_onion(Onion.ADD):
                     self._register_hom_rmw(plan, table_meta, column, None, expr.value)
                 continue
             increment = _match_increment(expr, column_name)
@@ -1077,29 +1070,21 @@ class Rewriter:
                         literal=value_expr.value,
                     )
                 plan.param_slots.append(slot)
-                if column.hom_packed:
-                    # The delta ciphertext is pre-shifted into the member's
-                    # slot; the Eq-onion cell rides along as a NULL sentinel
-                    # so increments of NULL values leave the slot at count 0.
-                    sentinel = ast.ColumnRef(column.onion_state(Onion.EQ).anon_name)
-                    previous = packed_assignment_at.get(state.anon_name)
-                    base: ast.Expression = (
-                        assignments[previous][1]
-                        if previous is not None
-                        else ast.ColumnRef(state.anon_name)
-                    )
-                    call = ast.FunctionCall(
-                        udfs.HOM_ADD_PACKED, [base, delta_node, sentinel]
-                    )
-                    if previous is not None:
-                        assignments[previous] = (state.anon_name, call)
-                    else:
-                        packed_assignment_at[state.anon_name] = len(assignments)
-                        assignments.append((state.anon_name, call))
+                # The delta ciphertext is pre-shifted into the member's slot;
+                # the Eq-onion cell rides along as a NULL sentinel so
+                # increments of NULL values leave the slot at count 0.
+                sentinel = ast.ColumnRef(column.onion_state(Onion.EQ).anon_name)
+                previous = packed_assignment_at.get(state.anon_name)
+                base: ast.Expression = (
+                    assignments[previous][1]
+                    if previous is not None
+                    else ast.ColumnRef(state.anon_name)
+                )
+                call = ast.FunctionCall(udfs.HOM_ADD_PACKED, [base, delta_node, sentinel])
+                if previous is not None:
+                    assignments[previous] = (state.anon_name, call)
                 else:
-                    call = ast.FunctionCall(
-                        udfs.HOM_ADD, [ast.ColumnRef(state.anon_name), delta_node]
-                    )
+                    packed_assignment_at[state.anon_name] = len(assignments)
                     assignments.append((state.anon_name, call))
                 if not column.hom_stale_others:
                     # Projections of this column must switch to the Add onion

@@ -57,14 +57,10 @@ class ColumnMeta:
     ope_join_group: Optional[str] = None           # declared range-join group
     hom_stale_others: bool = False     # Add onion updated ahead of the others
     #: Packed HOM (§8.4): slot index of this column inside its table's shared
-    #: packed Add ciphertext, and which :class:`HomGroup` it belongs to.
-    #: ``None`` means the column stores a scalar Paillier ciphertext.
+    #: packed Add ciphertext, and which :class:`HomGroup` it belongs to
+    #: (``None`` for a column without an Add onion).
     hom_slot: Optional[int] = None
     hom_group: Optional[int] = None
-
-    @property
-    def hom_packed(self) -> bool:
-        return self.hom_slot is not None
 
     @property
     def kind(self) -> str:
@@ -114,9 +110,9 @@ class ColumnMeta:
 class HomGroup:
     """One shared packed-Add ciphertext column and its member columns.
 
-    With packing enabled, every Add-onion column of a table is assigned a
-    slot inside one of these groups; the anonymised layout stores a single
-    BLOB column per group instead of one 2048-bit ciphertext per member.
+    Every Add-onion column of a table is assigned a slot inside one of
+    these groups; the anonymised layout stores a single BLOB column per
+    group instead of one 2048-bit ciphertext per member.
     """
 
     index: int
@@ -131,7 +127,7 @@ class TableMeta:
     name: str
     anon_name: str
     columns: dict[str, ColumnMeta] = field(default_factory=dict)
-    #: Packed HOM groups (empty when packing is disabled).
+    #: Packed HOM groups (empty when no column has an Add onion).
     hom_groups: list[HomGroup] = field(default_factory=list)
 
     def column(self, name: str) -> ColumnMeta:
@@ -149,10 +145,9 @@ class TableMeta:
 class ProxySchema:
     """All table metadata known to the proxy, plus anonymisation counters."""
 
-    def __init__(self, anonymize_names: bool = True, hom_slots: Optional[int] = None):
+    def __init__(self, hom_slots: int, anonymize_names: bool = True):
         self.anonymize_names = anonymize_names
-        #: Slots per packed Add ciphertext (``None`` disables packing and
-        #: every Add column keeps its own scalar Paillier ciphertext).
+        #: Slots per packed Add ciphertext (``PackingConfig.slots_for(n)``).
         self.hom_slots = hom_slots
         self.tables: dict[str, TableMeta] = {}
         self._table_counter = 0
@@ -203,8 +198,7 @@ class ProxySchema:
                     )
                 col_meta.iv_column = f"{prefix}_IV"
             meta.columns[column.name] = col_meta
-        if self.hom_slots:
-            self._assign_hom_groups(meta)
+        self._assign_hom_groups(meta)
         self.tables[name] = meta
         self.bump_version()
         return meta

@@ -33,7 +33,8 @@ class StrawmanProxy:
         self.db = db if db is not None else Database()
         self.master_key = master_key if master_key is not None else MasterKey.generate()
         self.keys = KeyManager(self.master_key)
-        self.schema = ProxySchema(anonymize_names=True)
+        # The strawman stores no Add onion, so the HOM slot count is moot.
+        self.schema = ProxySchema(hom_slots=1)
         self._rnd_cache: dict[tuple[str, str], RND] = {}
         self.db.register_scalar_udf(_DECRYPT, self._udf_decrypt)
 

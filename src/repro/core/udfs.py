@@ -29,7 +29,6 @@ DECRYPT_DET_EQ = "CRYPTDB_DECRYPT_DET_EQ"
 JOIN_ADJUST = "CRYPTDB_JOIN_ADJUST"
 ADJ_PART = "CRYPTDB_ADJ_PART"
 SEARCH_MATCH = "CRYPTDB_SEARCH_MATCH"
-HOM_ADD = "CRYPTDB_HOM_ADD"
 HOM_ADD_PACKED = "CRYPTDB_HOM_ADD_PACKED"
 HOM_SUM = "CRYPTDB_HOM_SUM"
 
@@ -158,23 +157,16 @@ def _search_match(
 
 
 def install_udfs(
-    db: Database,
-    public_key: PaillierPublicKey,
-    packing: Optional[PackingConfig] = None,
+    db: Database, public_key: PaillierPublicKey, packing: PackingConfig
 ) -> None:
     """Install all CryptDB UDFs into a DBMS instance.
 
-    ``packing`` switches the HOM aggregate path to the packed-slot layout
-    (§8.4): ``HOM_SUM`` then closes its running product every ``chunk_rows``
-    rows so no slot's count subfield can overflow, and the packed increment
-    UDF becomes available.
+    The HOM UDFs work on ``packing``'s slot layout (§8.4): ``HOM_SUM``
+    closes its running product every ``chunk_rows`` rows so no slot's count
+    subfield can overflow, and ``HOM_ADD_PACKED`` folds a slot-shifted
+    delta into a stored group cell.
     """
     n_squared = public_key.n_squared
-
-    def hom_add(a: Optional[int], b: Optional[int]) -> Any:
-        if a is None or b is None:
-            return None
-        return (a * b) % n_squared
 
     def hom_add_packed(
         packed: Optional[int], delta: Optional[int], sentinel: Any
@@ -204,48 +196,39 @@ def install_udfs(
     register(JOIN_ADJUST, _join_adjust, _join_adjust_many)
     db.register_scalar_udf(ADJ_PART, _adj_part)
     db.register_scalar_udf(SEARCH_MATCH, _search_match)
-    db.register_scalar_udf(HOM_ADD, hom_add)
     db.register_scalar_udf(HOM_ADD_PACKED, hom_add_packed)
+    chunk_rows = packing.chunk_rows
+
+    def packed_step(state, value):
+        # state: (running product, rows folded into it, closed chunks).
+        # Folding more than ``chunk_rows`` rows could carry a slot's count
+        # subfield into its neighbour, so the product is closed at exactly
+        # that headroom boundary and a fresh chunk starts.
+        if state is None:
+            state = (1, 0, [])
+        product, rows, closed = state
+        product = (product * value) % n_squared
+        rows += 1
+        if rows >= chunk_rows:
+            return (1, 0, closed + [product])
+        return (product, rows, closed)
+
+    def packed_finalize(state):
+        if state is None:
+            return None
+        product, rows, closed = state
+        if rows:
+            closed = closed + [product]
+        if len(closed) == 1:
+            return closed[0]
+        return encode_partial_sums(closed)
+
     # SUM over zero rows is NULL in SQL, not the Paillier encryption of 0:
     # the state stays None until the first (non-NULL) ciphertext is folded
     # in, so the proxy decrypts an empty aggregate to NULL like a stock DBMS.
-    if packing is None:
-        db.register_aggregate_udf(
-            HOM_SUM,
-            initial=lambda: None,
-            step=lambda state, value: ((1 if state is None else state) * value) % n_squared,
-            finalize=lambda state: state,
-        )
-    else:
-        chunk_rows = packing.chunk_rows
-
-        def packed_step(state, value):
-            # state: (running product, rows folded into it, closed chunks).
-            # Folding more than ``chunk_rows`` rows could carry a slot's
-            # count subfield into its neighbour, so the product is closed at
-            # exactly that headroom boundary and a fresh chunk starts.
-            if state is None:
-                state = (1, 0, [])
-            product, rows, closed = state
-            product = (product * value) % n_squared
-            rows += 1
-            if rows >= chunk_rows:
-                return (1, 0, closed + [product])
-            return (product, rows, closed)
-
-        def packed_finalize(state):
-            if state is None:
-                return None
-            product, rows, closed = state
-            if rows:
-                closed = closed + [product]
-            if len(closed) == 1:
-                return closed[0]
-            return encode_partial_sums(closed)
-
-        db.register_aggregate_udf(
-            HOM_SUM,
-            initial=lambda: None,
-            step=packed_step,
-            finalize=packed_finalize,
-        )
+    db.register_aggregate_udf(
+        HOM_SUM,
+        initial=lambda: None,
+        step=packed_step,
+        finalize=packed_finalize,
+    )

@@ -167,6 +167,10 @@ class PackingConfig:
         return (delta << (slot * self.slot_width)) % modulus
 
 
+#: The one packed-HOM slot layout; a proxy reads it when it is built.
+PACKING = PackingConfig()
+
+
 # -- multi-chunk SUM partials -----------------------------------------------
 def encode_partial_sums(ciphertexts: Sequence[int]) -> bytes:
     """Serialize several packed-SUM partial ciphertexts into one BLOB.

@@ -13,9 +13,9 @@ ASTs and gets merged :class:`ResultSet`\\ s back.  Internally:
   rowcounts match a single backend).
 * SELECT scatters to every shard and merges at this layer (see
   :mod:`repro.shard.merge`): k-way heap merge for ordered rows with the
-  OFFSET applied only post-merge, homomorphic recombination of
-  ``CRYPTDB_HOM_SUM`` partials with no decrypt, COUNT/MIN/MAX recombined
-  arithmetically.  Statements a faithful scatter cannot serve (joins,
+  OFFSET applied only post-merge, ``CRYPTDB_HOM_SUM`` partials pooled into
+  one packed-chunk blob with no key and no decrypt, COUNT/MIN/MAX
+  recombined arithmetically.  Statements a faithful scatter cannot serve (joins,
   HAVING, DISTINCT aggregates, LIMIT without a total order) fall back to a
   **broadcast scratch**: gather the referenced columns of every referenced
   table into a fresh single-node engine and run the original statement
@@ -39,7 +39,6 @@ from repro import faults
 from repro.errors import ReproError
 from repro.parallel import ParallelUnavailable, ThreadFanout
 from repro.shard import merge as shard_merge
-from repro.shard.merge import HomCombiner
 from repro.shard.router import ShardRouter, ShardRoutingError
 from repro.sql import ast_nodes as ast
 from repro.sql.engine import Database
@@ -139,16 +138,11 @@ class ShardedBackend:
         self._ddl_order: list[str] = []
         self._scalar_udfs: list[tuple] = []
         self._aggregate_udfs: list[tuple] = []
-        self._hom = HomCombiner()
         self.counters = _fresh_counters()
 
     # ------------------------------------------------------------------
     # proxy-facing configuration
     # ------------------------------------------------------------------
-    def configure_crypto(self, public_key, packing=None) -> None:
-        """Install the Paillier public key (and packing layout) for merges."""
-        self._hom = HomCombiner(public_key, packing)
-
     def declare_routing(
         self, table: str, column: str, mode: Optional[str] = None
     ) -> None:
@@ -354,7 +348,7 @@ class ShardedBackend:
         results = self._scatter(
             lambda index: self.backends[index].execute(statement)
         )
-        return shard_merge.merge_aggregate_results(statement, specs, results, self._hom)
+        return shard_merge.merge_aggregate_results(statement, specs, results)
 
     def _aggregate_specs(self, statement: ast.Select) -> Optional[list[Optional[str]]]:
         """Column specs when this aggregate SELECT merges; None to broadcast."""

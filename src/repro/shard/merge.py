@@ -3,13 +3,11 @@
 Everything here operates on the *rewritten* (ciphertext-level) statement
 and the raw per-shard result sets, before the proxy decrypts anything:
 
-* ``CRYPTDB_HOM_SUM`` partials combine **homomorphically** -- scalar
-  Paillier partials multiply modulo ``n^2`` (public key only; the merge
-  point never decrypts), packed partials keep their chunks separate by
-  concatenating ``PSUM`` blobs so no slot's count subfield can overflow.
-* ``COUNT`` partials add; packed ``AVG`` needs no count column at all
-  because the divisor rides the slot's count subfield through the merged
-  ciphertext.
+* ``CRYPTDB_HOM_SUM`` partials combine without any key: their packed
+  chunks are pooled into one ``PSUM`` blob (never multiplied, so no slot's
+  count subfield can overflow), and the proxy decrypts each chunk.
+* ``COUNT`` partials add; ``AVG`` needs no count column at all because the
+  divisor rides the slot's count subfield through the merged chunks.
 * ``MIN``/``MAX`` over OPE integers (order-preserving, so the per-shard
   extremum of ciphertexts is the ciphertext of the per-shard plaintext
   extremum) take the min/max across shards.
@@ -29,13 +27,10 @@ from typing import Any, Optional
 from repro.core import udfs
 from repro.core.results import row_sort_key
 from repro.crypto.paillier import (
-    PackingConfig,
-    PaillierPublicKey,
     decode_partial_sums,
     encode_partial_sums,
     is_partial_sum_blob,
 )
-from repro.errors import ReproError
 from repro.sql import ast_nodes as ast
 from repro.sql.executor import ResultSet
 
@@ -51,60 +46,31 @@ AGGREGATE_FUNCTIONS = MERGEABLE_AGGREGATES | frozenset({"AVG"})
 HIDDEN_ORDER_PREFIX = "__shard_ord_"
 
 
-class ShardMergeError(ReproError):
-    """A merge was asked to recombine something it cannot."""
-
-
 # ---------------------------------------------------------------------------
-# homomorphic recombination
+# partial recombination
 # ---------------------------------------------------------------------------
-class HomCombiner:
-    """Combines per-shard ``CRYPTDB_HOM_SUM`` partials without decrypting.
+def combine_hom_sums(partials: list) -> Any:
+    """Pool per-shard ``CRYPTDB_HOM_SUM`` partials into one value, keylessly.
 
-    Holds only the Paillier *public* key: scalar partials combine via the
-    ciphertext product mod ``n^2`` (``Enc(a) * Enc(b) = Enc(a+b)``), packed
-    partials combine by pooling their chunks into one ``PSUM`` blob.  The
-    private key never appears here -- the acceptance criterion that SUM/AVG
-    merge with no proxy-side decrypt of partials is structural.
+    Chunks stay separate: multiplying two packed partials would fold up to
+    2x ``chunk_rows`` rows into one chunk and could carry a count subfield
+    into its neighbour.  The proxy's ``decrypt_packed_sum`` adds the chunks'
+    plaintexts after one decrypt each, so the merge point needs no key at
+    all -- not even the public one.
     """
-
-    def __init__(
-        self,
-        public_key: Optional[PaillierPublicKey] = None,
-        packing: Optional[PackingConfig] = None,
-    ):
-        self.public_key = public_key
-        self.packing = packing
-
-    def combine(self, partials: list) -> Any:
-        values = [value for value in partials if value is not None]
-        if not values:
-            return None  # SUM over zero rows is NULL on every shard
-        if self.packing is not None:
-            # Chunks stay separate: multiplying two packed partials would
-            # fold up to 2x chunk_rows rows into one chunk and could carry a
-            # count subfield into its neighbour.  decrypt_packed_sum adds
-            # the chunks' plaintexts after one decrypt each.
-            chunks: list[int] = []
-            for value in values:
-                blob = bytes(value) if isinstance(value, (bytes, bytearray)) else None
-                if blob is not None and is_partial_sum_blob(blob):
-                    chunks.extend(decode_partial_sums(blob))
-                else:
-                    chunks.append(int(value))
-            if len(chunks) == 1:
-                return chunks[0]
-            return encode_partial_sums(chunks)
-        if self.public_key is None:
-            raise ShardMergeError(
-                "cannot combine scalar HOM partials without the Paillier "
-                "public key (configure_crypto was never called)"
-            )
-        n_squared = self.public_key.n_squared
-        total = 1  # Enc(0) with unit randomness, the neutral element
-        for value in values:
-            total = (total * int(value)) % n_squared
-        return total
+    chunks: list[int] = []
+    for value in partials:
+        if value is None:
+            continue  # SUM over zero rows is NULL on that shard
+        if is_partial_sum_blob(value):
+            chunks.extend(decode_partial_sums(bytes(value)))
+        else:
+            chunks.append(int(value))
+    if not chunks:
+        return None
+    if len(chunks) == 1:
+        return chunks[0]
+    return encode_partial_sums(chunks)
 
 
 def _combine_plain_sum(partials: list) -> Any:
@@ -363,6 +329,7 @@ _COMBINERS = {
     "TOTAL": _combine_plain_sum,
     "MIN": _combine_min,
     "MAX": _combine_max,
+    udfs.HOM_SUM: combine_hom_sums,
 }
 
 
@@ -370,7 +337,6 @@ def merge_aggregate_results(
     select: ast.Select,
     specs: list[Optional[str]],
     shard_results: list[ResultSet],
-    hom: HomCombiner,
 ) -> ResultSet:
     """Recombine per-shard aggregate rows, grouped by the non-aggregate keys."""
     key_indexes = [index for index, spec in enumerate(specs) if spec is None]
@@ -396,8 +362,6 @@ def merge_aggregate_results(
         for index, spec in enumerate(specs):
             if spec is None:
                 row.append(bucket[index][0] if bucket[index] else None)
-            elif spec == udfs.HOM_SUM:
-                row.append(hom.combine(bucket[index]))
             else:
                 row.append(_COMBINERS[spec](bucket[index]))
         rows.append(tuple(row))

@@ -45,7 +45,6 @@ def default_lane_factory(
     parallel_chunk_threshold: int = 4,
     remote: bool = False,
     remote_fetch_chunk: int = 64,
-    packed_off: bool = False,
     sharded: int = 0,
     sharded_mode: str = "det-hash",
     **proxy_kwargs: Any,
@@ -53,11 +52,7 @@ def default_lane_factory(
     """Fresh plaintext + encrypted connections over both backends.
 
     ``proxy_kwargs`` (``paillier``, ``master_key``, ...) are forwarded to the
-    encrypted lanes so test suites can share one session key pair.  The
-    encrypted lanes all run with HOM slot packing at the proxy's default
-    (on); ``packed_off=True`` adds an ``enc-packed-off`` lane with packing
-    disabled, so a packed-pipeline divergence bisects cleanly against the
-    scalar-HOM code path answering the identical stream.
+    encrypted lanes so test suites can share one session key pair.
 
     ``parallel_workers > 0`` adds a fifth lane, ``enc-parallel``: the same
     encrypted proxy over the in-memory backend but with a crypto worker pool
@@ -99,11 +94,6 @@ def default_lane_factory(
                     chunk_threshold=parallel_chunk_threshold,
                 ),
                 **proxy_kwargs,
-            )
-        if packed_off:
-            off_kwargs = {k: v for k, v in proxy_kwargs.items() if k != "hom_packing"}
-            lanes["enc-packed-off"] = connect(
-                backend="memory", hom_packing=False, **off_kwargs
             )
         if sharded > 1:
             from repro.shard import ShardedBackend
@@ -906,7 +896,7 @@ class RecoveryRunner:
     """
 
     #: ``mode`` -> proxy/backend flavour of the primary lane.
-    MODES = ("scalar", "packed", "sharded")
+    MODES = ("packed", "sharded")
 
     def __init__(
         self,
@@ -937,8 +927,6 @@ class RecoveryRunner:
         self.seed = seed
         kwargs = dict(proxy_kwargs)
         kwargs.setdefault("hom_precompute", 8)
-        if mode == "scalar":
-            kwargs.setdefault("hom_packing", False)
         self.proxy_kwargs = kwargs
         self._wal_path = os.path.join(self.workdir, "catalog.wal")
         self._db_path = os.path.join(self.workdir, "primary.db")

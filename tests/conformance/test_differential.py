@@ -2,19 +2,17 @@
 
 One seeded stream of generated statements (schema DDL, multi-row and
 parameterized INSERTs, predicate-rich SELECTs, joins, aggregates, HOM
-increments, transactions with ROLLBACK) replays over seven lanes --
-plaintext in-memory, plaintext SQLite, encrypted proxy over each backend
-(HOM slot packing on, the default), the encrypted proxy with a two-process
-crypto worker pool (``workers=2``), ``enc-packed-off``: the same proxy
-with packing disabled so a packed-pipeline divergence bisects against the
-scalar-HOM path, and ``enc-remote``: the same encrypted proxy behind a
+increments, transactions with ROLLBACK) replays over six lanes --
+plaintext in-memory, plaintext SQLite, encrypted proxy over each backend,
+the encrypted proxy with a two-process crypto worker pool
+(``workers=2``), and ``enc-remote``: the same encrypted proxy behind a
 real loopback :mod:`repro.server` (TCP, ECDH handshake, AEAD frames,
-chunked FETCH) -- and every decrypted result must agree.  The parallel,
-packed-off and remote lanes must also refuse exactly the statements the
-serial encrypted lanes refuse: process-pool offload, ciphertext layout and
-the wire protocol may never change behaviour, only throughput, storage and
-deployment shape.  A divergence fails the test with an auto-minimized
-reproducer and the seed to replay it.
+chunked FETCH) -- and every decrypted result must agree.  The parallel
+and remote lanes must also refuse exactly the statements the serial
+encrypted lanes refuse: process-pool offload and the wire protocol may
+never change behaviour, only throughput and deployment shape.  A
+divergence fails the test with an auto-minimized reproducer and the seed
+to replay it.
 
 ``CONFORMANCE_STATEMENTS`` scales the stream (CI quick mode runs the
 default; nightly-style runs can crank it up).
@@ -40,7 +38,6 @@ def runner(paillier_keypair) -> DifferentialRunner:
         parallel_workers=2,
         remote=True,
         remote_fetch_chunk=64,
-        packed_off=True,
         paillier=paillier_keypair,
         master_key=MasterKey.from_passphrase("conformance-harness"),
         hom_precompute=8,
@@ -74,18 +71,7 @@ def test_remote_lane_present(runner):
             conn.close()
 
 
-def test_packed_off_lane_present(runner):
-    """The packing-bisection lane runs scalar HOM; the others run packed."""
-    lanes = runner.lane_factory()
-    try:
-        assert lanes["enc-packed-off"].proxy.hom_packing is None
-        assert lanes["enc-memory"].proxy.hom_packing is not None
-    finally:
-        for conn in lanes.values():
-            conn.close()
-
-
-def test_sum_heavy_tiny_headroom_stream(paillier_keypair, repro_seed):
+def test_sum_heavy_tiny_headroom_stream(paillier_keypair, repro_seed, monkeypatch):
     """SUM-dominated streams against a 4-row chunk budget (slot headroom).
 
     ``headroom_bits=2`` closes the packed-SUM running product every 4 rows,
@@ -93,14 +79,15 @@ def test_sum_heavy_tiny_headroom_stream(paillier_keypair, repro_seed):
     partial-sum blobs and read them back -- the overflow machinery a
     production-sized headroom (2^16 rows) would never hit under test loads.
     """
-    from repro.crypto.paillier import PackingConfig
+    from repro.crypto import paillier
 
+    monkeypatch.setattr(
+        paillier, "PACKING", paillier.PackingConfig(value_bits=32, headroom_bits=2)
+    )
     factory = default_lane_factory(
-        packed_off=True,
         paillier=paillier_keypair,
         master_key=MasterKey.from_passphrase("conformance-headroom"),
         hom_precompute=8,
-        hom_packing=PackingConfig(value_bits=32, headroom_bits=2),
     )
     generator = StatementGenerator(seed=repro_seed, tables=2, sum_heavy=True)
     stream = generator.generate_stream(max(QUICK_STATEMENTS // 4, 60))

@@ -59,8 +59,14 @@ def test_sharded_lane_is_wired_through_default_factory(paillier_keypair):
         assert "enc-sharded" in lanes
         backend = lanes["enc-sharded"].proxy.db
         assert backend.is_sharded and backend.shard_count == 3
-        # The proxy handed the merge layer its public key at construction.
-        assert backend._hom.public_key is not None
+        # HOM partials merge by pooling packed chunks: the merge layer holds
+        # no Paillier key at all, not even the public one.
+        from repro.crypto.paillier import PaillierKeyPair, PaillierPublicKey
+
+        assert not any(
+            isinstance(value, (PaillierKeyPair, PaillierPublicKey))
+            for value in vars(backend).values()
+        )
         assert lanes["enc-sharded"].proxy.stats.shard is backend
     finally:
         for conn in lanes.values():

@@ -15,6 +15,7 @@ from repro.core.onion import EncryptionScheme, Onion
 from repro.core.schema import ProxySchema
 from repro.crypto.join_adj import JoinCiphertext
 from repro.crypto.keys import KeyManager, MasterKey
+from repro.crypto.paillier import PACKING
 from repro.sql.parser import parse_sql
 
 
@@ -36,7 +37,7 @@ def reference_eq(encryptor, column, value, level):
 
 @pytest.fixture()
 def setup(paillier_keypair):
-    schema = ProxySchema()
+    schema = ProxySchema(PACKING.slots_for(paillier_keypair.public.n))
     create = parse_sql(
         "CREATE TABLE t (n INT, s VARCHAR(50), txt TEXT, price DECIMAL(8,2))"
     )
@@ -45,7 +46,7 @@ def setup(paillier_keypair):
     joins = JoinManager(master.material)
     for name in ("n", "s", "txt", "price"):
         joins.register_column("t", name)
-    encryptor = Encryptor(KeyManager(master), joins, paillier_keypair)
+    encryptor = Encryptor(KeyManager(master), joins, paillier_keypair, PACKING)
     return schema, encryptor
 
 
@@ -62,10 +63,13 @@ def test_batch_cells_decrypt_through_scalar_path(setup, column_name):
     column = schema.column("t", column_name)
     values = VALUES[column_name]
     parts = encryptor.encrypt_column_values(column, values)
-    assert set(parts) == {s.anon_name for s in column.onions.values()} | {column.iv_column}
+    # The Add onion is encrypted per group cell (encrypt_hom_group_many).
+    assert set(parts) == {
+        s.anon_name for o, s in column.onions.items() if o is not Onion.ADD
+    } | {column.iv_column}
     ivs = parts[column.iv_column]
     for onion, state in column.onions.items():
-        if onion is Onion.SEARCH:
+        if onion in (Onion.SEARCH, Onion.ADD):
             continue
         if onion is Onion.ORD and column.kind != "integer":
             # Text Ord onions encode a 4-byte prefix, not the full value;
@@ -192,14 +196,14 @@ def test_eq_memo_invalidated_by_join_rekey(setup):
 
 def test_ablation_reports_no_cache_activity(paillier_keypair):
     """With the ciphertext cache off (Proxy*), counters must stay at zero."""
-    schema = ProxySchema()
+    schema = ProxySchema(PACKING.slots_for(paillier_keypair.public.n))
     schema.add_table("t", parse_sql("CREATE TABLE t (n INT, s VARCHAR(20))").columns)
     master = MasterKey.from_passphrase("ablation-test")
     joins = JoinManager(master.material)
     joins.register_column("t", "n")
     joins.register_column("t", "s")
     encryptor = Encryptor(
-        KeyManager(master), joins, paillier_keypair, use_ope_cache=False
+        KeyManager(master), joins, paillier_keypair, PACKING, use_ope_cache=False
     )
     column = schema.column("t", "s")
     encryptor.encrypt_column_values(column, ["a", "a", "b", "a"])
@@ -211,8 +215,16 @@ def test_ablation_reports_no_cache_activity(paillier_keypair):
 
 
 def test_hom_deltas_decrypt(setup):
+    """Each delta folds into its column's slot and leaves the neighbour alone."""
     schema, encryptor = setup
     column = schema.column("t", "n")
+    members = [schema.column("t", name) for name in schema.table("t").hom_groups[0].members]
+    n_squared = encryptor.paillier.public.n_squared
     deltas = [5, -2, 0]
     for delta, ct in zip(deltas, encryptor.hom_delta_many(column, deltas)):
-        assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, ct) == delta
+        cell = encryptor.encrypt_hom_group(members, [10, 2.5])
+        folded = (cell * ct) % n_squared
+        assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, folded) == 10 + delta
+        assert encryptor.decrypt_value(
+            members[1], Onion.ADD, EncryptionScheme.HOM, folded
+        ) == 2.5

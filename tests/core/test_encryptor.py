@@ -7,6 +7,7 @@ from repro.core.joins import JoinManager
 from repro.core.onion import EncryptionScheme, Onion
 from repro.core.schema import ProxySchema
 from repro.crypto.keys import KeyManager, MasterKey
+from repro.crypto.paillier import PACKING
 from repro.crypto.rnd import RND
 from repro.errors import ProxyError
 from repro.sql.parser import parse_sql
@@ -14,7 +15,7 @@ from repro.sql.parser import parse_sql
 
 @pytest.fixture()
 def setup(paillier_keypair):
-    schema = ProxySchema()
+    schema = ProxySchema(PACKING.slots_for(paillier_keypair.public.n))
     create = parse_sql(
         "CREATE TABLE t (n INT, s VARCHAR(50), txt TEXT, price DECIMAL(8,2))"
     )
@@ -23,15 +24,21 @@ def setup(paillier_keypair):
     joins = JoinManager(master.material)
     for name in ("n", "s", "txt", "price"):
         joins.register_column("t", name)
-    encryptor = Encryptor(KeyManager(master), joins, paillier_keypair)
+    encryptor = Encryptor(KeyManager(master), joins, paillier_keypair, PACKING)
     return schema, encryptor
+
+
+def _group_members(schema):
+    """The Add-onion columns of ``t`` in slot order (n, then price)."""
+    return [schema.column("t", name) for name in schema.table("t").hom_groups[0].members]
 
 
 def test_row_encryption_produces_all_onions(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
     cells = encryptor.encrypt_row_value(column, 42)
-    assert set(cells) == {"C1_Eq", "C1_Ord", "C1_Add", "C1_IV"}
+    # The Add onion lives in the table's shared group cell, not per column.
+    assert set(cells) == {"C1_Eq", "C1_Ord", "C1_IV"}
     assert isinstance(cells["C1_Eq"], bytes)
     assert isinstance(cells["C1_Ord"], int)
 
@@ -90,14 +97,14 @@ def test_decimal_encoding_roundtrip(setup):
     assert encryptor.decrypt_value(
         column, Onion.EQ, EncryptionScheme.RND, ciphertext, cells[column.iv_column]
     ) == 19.99
-    hom_ct = cells[column.onion_state(Onion.ADD).anon_name]
+    hom_ct = encryptor.encrypt_hom_group(_group_members(schema), [None, 19.99])
     assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, hom_ct) == 19.99
 
 
 def test_hom_handles_negative_values(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
-    ciphertext = encryptor.encrypt_constant(column, Onion.ADD, EncryptionScheme.HOM, -25)
+    ciphertext = encryptor.encrypt_hom_group(_group_members(schema), [-25, 7.5])
     assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, ciphertext) == -25
 
 

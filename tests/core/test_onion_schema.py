@@ -45,7 +45,7 @@ def test_security_levels():
 
 
 def _schema() -> ProxySchema:
-    schema = ProxySchema()
+    schema = ProxySchema(hom_slots=5)
     create = parse_sql(
         "CREATE TABLE emp (id INT, name VARCHAR(40), notes TEXT, photo BLOB)"
     )
@@ -97,7 +97,7 @@ def test_min_enc():
 
 
 def test_minimum_level_constraint():
-    schema = ProxySchema()
+    schema = ProxySchema(hom_slots=5)
     create = parse_sql("CREATE TABLE cc (number VARCHAR(20))")
     schema.add_table("cc", create.columns, minimum_levels={"number": SecurityLevel.DET})
     column = schema.column("cc", "number")

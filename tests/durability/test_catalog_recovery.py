@@ -83,6 +83,29 @@ def test_connect_catalog_restarts_from_wal(tmp_path, connect_kwargs):
         conn.close()
 
 
+def test_restart_reads_the_packed_add_onion(tmp_path, connect_kwargs):
+    """SUM, AVG and increments read the Add group cells a previous process
+    wrote: the slot layout is not a per-process option, so a restart cannot
+    come back with a DDL that lacks the stored Add columns."""
+    db_path = os.fspath(tmp_path / "emp.db")
+    wal_path = os.fspath(tmp_path / "emp.wal")
+    conn = repro.connect(db_path, catalog=wal_path, **connect_kwargs)
+    _populate(conn)
+    conn.cursor().execute("UPDATE emp SET salary = salary + ? WHERE id = ?", (500, 2))
+    conn.close()
+
+    conn = repro.connect(db_path, catalog=wal_path, **connect_kwargs)
+    try:
+        cur = conn.cursor()
+        cur.execute("SELECT SUM(salary), AVG(salary) FROM emp")
+        assert cur.fetchall() == [(210500, 210500 / 3)]
+        cur.execute("UPDATE emp SET salary = salary - ? WHERE id = ?", (500, 2))
+        cur.execute("SELECT id, salary FROM emp ORDER BY id")
+        assert cur.fetchall() == [(1, 70000), (2, 50000), (3, 90000)]
+    finally:
+        conn.close()
+
+
 def test_restart_requires_the_same_master_key(tmp_path, connect_kwargs):
     db_path = os.fspath(tmp_path / "emp.db")
     wal_path = os.fspath(tmp_path / "emp.wal")

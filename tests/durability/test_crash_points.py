@@ -21,7 +21,7 @@ from repro.testing import RecoveryRunner, StatementGenerator
 
 #: Enough statements that every crash site's first hit lands mid-stream
 #: (DDL at the head, an Ord/Eq adjustment soon after) while keeping the
-#: full 18-combination sweep fast.
+#: full 12-combination sweep (6 crash points x 2 modes) fast.
 STREAM_LENGTH = 40
 
 MASTER_KEY = MasterKey.from_passphrase("crash-point-tests")

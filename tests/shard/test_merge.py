@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.crypto.paillier import (
-    PackingConfig,
+    decode_partial_sums,
     encode_partial_sums,
     is_partial_sum_blob,
 )
 from repro.shard.merge import (
-    HomCombiner,
     RowScatterPlan,
-    ShardMergeError,
     classify_aggregate_items,
+    combine_hom_sums,
     merge_aggregate_results,
     merge_row_results,
     plan_row_scatter,
@@ -33,18 +30,6 @@ def _col_items(*names):
 # ---------------------------------------------------------------------------
 # homomorphic partial-sum recombination
 # ---------------------------------------------------------------------------
-def test_scalar_hom_merge_equals_python_sum(paillier_keypair):
-    """Per-shard Paillier partials multiply into Enc(total) -- public key only."""
-    per_shard_sums = [[3, 5], [11], [7, 2, 9]]
-    partials = [
-        _product(paillier_keypair, values) for values in per_shard_sums
-    ]
-    combiner = HomCombiner(public_key=paillier_keypair.public)
-    merged = combiner.combine(partials)
-    expected = sum(v for shard in per_shard_sums for v in shard)
-    assert paillier_keypair.decrypt(merged) == expected
-
-
 def _product(keypair, values):
     total = 1
     for value in values:
@@ -52,16 +37,11 @@ def _product(keypair, values):
     return total
 
 
-def test_scalar_hom_merge_skips_empty_shards(paillier_keypair):
-    combiner = HomCombiner(public_key=paillier_keypair.public)
-    partial = paillier_keypair.encrypt(42)
-    assert paillier_keypair.decrypt(combiner.combine([None, partial, None])) == 42
-    assert combiner.combine([None, None]) is None  # SUM of zero rows is NULL
-
-
-def test_scalar_hom_merge_requires_public_key(paillier_keypair):
-    with pytest.raises(ShardMergeError):
-        HomCombiner().combine([paillier_keypair.encrypt(1)])
+def _decrypt_pooled(keypair, merged):
+    """Plaintext total of a merged partial: one decrypt per pooled chunk."""
+    if is_partial_sum_blob(merged):
+        return sum(keypair.decrypt(c) for c in decode_partial_sums(merged))
+    return keypair.decrypt(merged)
 
 
 def test_packed_hom_merge_concatenates_chunks(paillier_keypair):
@@ -71,7 +51,6 @@ def test_packed_hom_merge_concatenates_chunks(paillier_keypair):
     subfield has limited headroom -- so the merged value is a PSUM blob
     carrying all chunks from all shards.
     """
-    config = PackingConfig()
     shard_chunks = [[4, 6], [10], [1, 2, 3]]
     partials = []
     for chunks in shard_chunks:
@@ -79,20 +58,23 @@ def test_packed_hom_merge_concatenates_chunks(paillier_keypair):
         partials.append(
             ciphertexts[0] if len(ciphertexts) == 1 else encode_partial_sums(ciphertexts)
         )
-    merged = HomCombiner(paillier_keypair.public, config).combine(partials)
+    merged = combine_hom_sums(partials)
     assert is_partial_sum_blob(merged)
-    from repro.crypto.paillier import decode_partial_sums
-
-    decrypted = sum(paillier_keypair.decrypt(c) for c in decode_partial_sums(merged))
+    decrypted = _decrypt_pooled(paillier_keypair, merged)
     assert decrypted == sum(v for chunks in shard_chunks for v in chunks)
 
 
 def test_packed_hom_merge_single_chunk_stays_scalar(paillier_keypair):
-    config = PackingConfig()
     partial = paillier_keypair.encrypt(9)
-    merged = HomCombiner(paillier_keypair.public, config).combine([partial, None])
+    merged = combine_hom_sums([partial, None])
     assert isinstance(merged, int)
     assert paillier_keypair.decrypt(merged) == 9
+
+
+def test_packed_hom_merge_skips_empty_shards(paillier_keypair):
+    partial = paillier_keypair.encrypt(42)
+    assert paillier_keypair.decrypt(combine_hom_sums([None, partial, None])) == 42
+    assert combine_hom_sums([None, None]) is None  # SUM of zero rows is NULL
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +244,34 @@ def test_grouped_aggregates_recombine_per_group(paillier_keypair):
         ],
         2,
     )
-    merged = merge_aggregate_results(
-        select, specs, [shard0, shard1], HomCombiner(paillier_keypair.public)
-    )
+    merged = merge_aggregate_results(select, specs, [shard0, shard1])
     by_group = {row[0]: row for row in merged.rows}
     assert by_group["alpha"][1] == 3
-    assert paillier_keypair.decrypt(by_group["alpha"][2]) == 7
+    assert _decrypt_pooled(paillier_keypair, by_group["alpha"][2]) == 7
     assert by_group["beta"][1] == 3
-    assert paillier_keypair.decrypt(by_group["beta"][2]) == 15
+    assert _decrypt_pooled(paillier_keypair, by_group["beta"][2]) == 15
+
+
+def test_hom_sum_over_zero_rows_on_every_shard_merges_to_null(paillier_keypair):
+    """Ungrouped HOM_SUM: shards with no rows add nothing, all-empty is NULL."""
+    from repro.core import udfs
+
+    select = ast.Select(
+        items=[
+            ast.SelectItem(ast.FunctionCall("COUNT", [ast.Star()])),
+            ast.SelectItem(ast.FunctionCall(udfs.HOM_SUM, [ast.ColumnRef("v")])),
+        ],
+        from_clause=ast.TableRef("t"),
+    )
+    specs = classify_aggregate_items(select)
+    columns = ["COUNT(*)", "SUM(v)"]
+    empty = [ResultSet(columns, [(0, None)], 1) for _ in range(3)]
+    assert merge_aggregate_results(select, specs, empty).rows == [(0, None)]
+    one = ResultSet(columns, [(2, _product(paillier_keypair, [8, 3]))], 1)
+    merged = merge_aggregate_results(select, specs, [empty[0], one, empty[1]])
+    (count, total), = merged.rows
+    assert count == 2
+    assert _decrypt_pooled(paillier_keypair, total) == 11
 
 
 def test_min_max_count_recombination():
@@ -288,7 +290,7 @@ def test_min_max_count_recombination():
         ResultSet(columns, [(None, None, 0)], 1),  # empty shard: NULL extrema
         ResultSet(columns, [(2, 40, 2)], 1),
     ]
-    merged = merge_aggregate_results(select, specs, shards, HomCombiner())
+    merged = merge_aggregate_results(select, specs, shards)
     assert merged.rows == [(2, 90, 6)]
 
 
