@@ -110,10 +110,15 @@ def error_from_wire(name: str, message: str) -> Error:
 
 @contextmanager
 def translate_errors():
-    """Re-raise internal errors as their DB-API counterparts."""
+    """Re-raise internal errors as their DB-API counterparts.
+
+    :class:`~repro.errors.SimulatedCrash` passes through unwrapped: it models
+    process death, so no ``except Error`` handler may mistake it for a clean
+    failure.
+    """
     try:
         yield
-    except Error:
+    except (Error, errors.SimulatedCrash):
         raise
     except errors.ReproError as exc:
         raise wrap_error(exc) from exc

@@ -9,19 +9,20 @@ oracle:
   statement streams constrained to the SQL surface every lane supports;
 * :mod:`repro.testing.oracle` replays one stream over several *lanes*
   (plaintext in-memory engine, plaintext SQLite, encrypted proxy over each
-  backend) and reports the first result divergence after decryption;
+  backend) in lockstep and reports the first result divergence after
+  decryption.  One core owns the replay loop, the statement runner, the
+  N-way comparator, the report and shrinking; three runners plug into it:
+  :class:`~repro.testing.oracle.DifferentialRunner` (lanes from a factory,
+  no perturbation), :class:`~repro.testing.oracle.ChaosRunner` (a loopback
+  server under an armed :mod:`repro.faults` plan: every statement must give
+  the fault-free answer or a clean DB-API error, and after every injected
+  fault an invariant probe checks that proxy metadata and backend state
+  still agree) and :class:`~repro.testing.oracle.RecoveryRunner` (a
+  catalog-backed proxy killed at a named crash point and rebuilt from
+  snapshot+WAL; answers and recovered metadata must match an uninterrupted
+  ``enc-shadow`` proxy);
 * :mod:`repro.testing.shrinker` delta-debugs a failing stream down to a
-  minimal reproducer before it is reported;
-* :class:`~repro.testing.oracle.ChaosRunner` replays a stream under an
-  armed :mod:`repro.faults` plan (the chaos conformance lane): every
-  statement must produce the fault-free answer or fail with a clean DB-API
-  error, and after every injected fault an invariant probe asserts proxy
-  metadata and backend state still agree;
-* :class:`~repro.testing.oracle.RecoveryRunner` kills a catalog-backed
-  proxy at a named crash point mid-stream (the recovery conformance lane),
-  rebuilds it from snapshot+WAL against the surviving database files, and
-  verifies zero divergence -- answers and metadata -- against an
-  uninterrupted shadow proxy.
+  minimal reproducer before it is reported.
 """
 
 from repro.testing.generator import GeneratedStatement, StatementGenerator

@@ -1,8 +1,10 @@
-"""The differential oracle: replay one stream over several lanes, compare.
+"""The conformance oracle: replay one stream over several lanes in lockstep.
 
 A *lane* is a :class:`repro.api.Connection`: plaintext over the in-memory
-engine, plaintext over SQLite, or the encrypted proxy over either backend.
-Every statement of a stream runs on every lane and the outcomes must agree:
+engine, plaintext over SQLite, or an encrypted proxy (lanes named ``enc-*``)
+over either backend, a worker pool, a shard set, the wire, or durable
+storage.  Every statement of a stream runs on every lane and the outcomes
+must agree:
 
 * identical decrypted rows for SELECTs -- compared as sequences when the
   generator guaranteed a total ORDER BY, as multisets otherwise;
@@ -12,27 +14,42 @@ Every statement of a stream runs on every lane and the outcomes must agree:
 The proxy is allowed one asymmetry, straight from the paper's Figure 9: it
 may *refuse* a side-effect-free SELECT (``NotSupportedError``, e.g. an
 equality predicate over a HOM-stale onion) that plaintext lanes can answer.
-It may never return a different answer.  Refusals must agree across both
-encrypted lanes and are counted, not failed.
+It may never return a different answer.  Refusals must agree across every
+encrypted lane and are counted, not failed.
 
 Floats are compared with a tolerance: the encrypted lane recomputes
 DECIMAL aggregates from exactly-scaled integers while plaintext lanes
 accumulate IEEE floats, so the two can differ in the last ulps.
+
+One core, :class:`LockstepRunner`, owns the replay loop, the statement
+runner (:func:`run_statement`), the comparator (:func:`compare`), the
+report and ddmin shrinking.  The runners are plug-ins that supply lanes,
+an armed context, a per-statement step and extra checks:
+
+* :class:`DifferentialRunner` -- lanes from a factory, no perturbation;
+* :class:`ChaosRunner` -- a loopback server under a scoped fault plan, with
+  an invariant probe after every statement during which a fault fired;
+* :class:`RecoveryRunner` -- a catalog-backed proxy killed at a crash
+  point and rebuilt from snapshot+WAL, with a metadata fingerprint check at
+  the end of the stream.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, ContextManager, Optional, Sequence
 
 from repro import faults
 from repro.api import exceptions
 from repro.api.connection import Connection, connect
-from repro.errors import ReproError, SimulatedCrash, UnsupportedQueryError
+from repro.errors import SimulatedCrash
 from repro.testing.generator import GeneratedStatement
+from repro.testing.shrinker import shrink_stream
 
 LaneFactory = Callable[[], dict[str, Connection]]
 
@@ -114,7 +131,7 @@ def default_lane_factory(
 
 
 # ---------------------------------------------------------------------------
-# outcomes
+# outcomes and reports
 # ---------------------------------------------------------------------------
 @dataclass
 class LaneOutcome:
@@ -158,24 +175,31 @@ class RunReport:
     statements_executed: int = 0
     selects_compared: int = 0
     refused_by_proxy: int = 0
+    #: Failed runner-specific checks (invariant probes, recovered metadata).
+    violations: list = field(default_factory=list)
     minimized: Optional[list[GeneratedStatement]] = None
     seed: Optional[int] = None
 
     @property
     def ok(self) -> bool:
-        return self.divergence is None
+        return self.divergence is None and not self.violations
+
+    def summary(self) -> str:
+        return (
+            f"{self.statements_executed} statements, "
+            f"{self.selects_compared} SELECT comparisons, "
+            f"{self.refused_by_proxy} proxy refusals"
+        )
 
     def describe(self) -> str:
+        lines = [f"{'conformant' if self.ok else 'FAILED'}: {self.summary()}"]
         if self.ok:
-            return (
-                f"conformant: {self.statements_executed} statements, "
-                f"{self.selects_compared} SELECT comparisons, "
-                f"{self.refused_by_proxy} proxy refusals"
-            )
-        lines = [f"DIVERGENCE after {self.statements_executed} statements"]
+            return lines[0]
         if self.seed is not None:
             lines.append(f"reproduce with --repro-seed={self.seed}")
-        lines.append(self.divergence.describe())
+        if self.divergence is not None:
+            lines.append(self.divergence.describe())
+        lines.extend(f"violation: {v}" for v in self.violations)
         if self.minimized is not None:
             lines.append(f"minimized reproducer ({len(self.minimized)} statements):")
             lines.extend(f"  {s.describe()}" for s in self.minimized)
@@ -183,8 +207,28 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# normalization / comparison
+# the statement runner and the comparator
 # ---------------------------------------------------------------------------
+def run_statement(connection: Connection, statement: GeneratedStatement) -> LaneOutcome:
+    """Run one statement on one lane through the DB-API.
+
+    :class:`~repro.errors.SimulatedCrash` is not a DB-API error and
+    propagates: the lane's process is dead, not failed.
+    """
+    try:
+        cursor = connection.cursor()
+        cursor.execute(statement.sql, statement.params)
+    except exceptions.NotSupportedError as exc:
+        return LaneOutcome(error="unsupported", error_detail=str(exc)[:120])
+    except exceptions.Error as exc:
+        return LaneOutcome(
+            error="error", error_detail=f"{type(exc).__name__}: {str(exc)[:120]}"
+        )
+    if cursor.description is not None:
+        return LaneOutcome(rows=cursor.fetchall())
+    return LaneOutcome(rowcount=max(cursor.rowcount, 0))
+
+
 def _canonical_cell(value: Any) -> Any:
     if isinstance(value, bool):
         return int(value)
@@ -235,146 +279,173 @@ def _normalize(rows: Sequence[tuple], ordered: bool) -> list[tuple]:
     return normalized
 
 
-# ---------------------------------------------------------------------------
-# the runner
-# ---------------------------------------------------------------------------
-class DifferentialRunner:
-    """Replays statement streams over fresh lanes and compares outcomes."""
+def compare(
+    index: int,
+    statement: GeneratedStatement,
+    outcomes: dict[str, LaneOutcome],
+    report: RunReport,
+) -> Optional[Divergence]:
+    """Compare one statement's outcomes across all lanes (N-way)."""
 
-    def __init__(self, lane_factory: LaneFactory):
-        self.lane_factory = lane_factory
+    def diverge(reason: str) -> Divergence:
+        return Divergence(
+            index,
+            statement,
+            reason,
+            {name: out.summary() for name, out in outcomes.items()},
+        )
 
-    # -- execution -------------------------------------------------------
-    @staticmethod
-    def _run_statement(
-        connection: Connection, statement: GeneratedStatement
-    ) -> LaneOutcome:
-        try:
-            cursor = connection.cursor()
-            cursor.execute(statement.sql, statement.params)
-        except exceptions.NotSupportedError as exc:
-            return LaneOutcome(error="unsupported", error_detail=str(exc)[:120])
-        except exceptions.Error as exc:
-            return LaneOutcome(
-                error="error", error_detail=f"{type(exc).__name__}: {str(exc)[:120]}"
-            )
-        if cursor.description is not None:
-            return LaneOutcome(rows=cursor.fetchall())
-        return LaneOutcome(rowcount=max(cursor.rowcount, 0))
+    encrypted = {
+        name: out for name, out in outcomes.items()
+        if name.startswith(ENCRYPTED_PREFIX)
+    }
+    plaintext = {
+        name: out for name, out in outcomes.items()
+        if not name.startswith(ENCRYPTED_PREFIX)
+    }
+    error_classes = {out.error for out in outcomes.values()}
+    if (
+        encrypted
+        and all(out.error == "unsupported" for out in encrypted.values())
+        and all(out.error is None for out in plaintext.values())
+    ):
+        # Figure 9: the proxy may refuse a read it cannot run over
+        # ciphertext -- but where a plaintext lane answered, only if the
+        # generator declared the refusal legitimate.  An unflagged refusal
+        # is a divergence, so an over-refusing proxy regression cannot hide
+        # behind this branch; plaintext lanes must still agree on the answer.
+        if plaintext and not (
+            statement.kind == "select" and statement.may_be_unsupported
+        ):
+            return diverge("lanes disagree on success/failure")
+        report.refused_by_proxy += 1
+        outcomes = plaintext
+    elif error_classes == {None}:
+        pass  # all succeeded
+    elif len(error_classes) == 1:
+        # Everyone failed the same way; statement had no effect anywhere.
+        return None
+    else:
+        return diverge("lanes disagree on success/failure")
 
-    def run(self, statements: Sequence[GeneratedStatement]) -> RunReport:
-        """Replay one stream on fresh lanes; stop at the first divergence."""
-        lanes = self.lane_factory()
-        report = RunReport()
-        try:
-            for index, statement in enumerate(statements):
-                outcomes = {
-                    name: self._run_statement(conn, statement)
-                    for name, conn in lanes.items()
-                }
-                report.statements_executed += 1
-                divergence = self._compare(index, statement, outcomes, report)
-                if divergence is not None:
-                    report.divergence = divergence
-                    return report
-        finally:
-            for conn in lanes.values():
-                conn.close()
-        return report
+    successes = {n: o for n, o in outcomes.items() if o.error is None}
+    if not successes:
+        return None
+    reference_name, reference = next(iter(successes.items()))
 
-    # -- comparison ------------------------------------------------------
-    def _compare(
-        self,
-        index: int,
-        statement: GeneratedStatement,
-        outcomes: dict[str, LaneOutcome],
-        report: RunReport,
-    ) -> Optional[Divergence]:
-        def diverge(reason: str) -> Divergence:
-            return Divergence(
-                index,
-                statement,
-                reason,
-                {name: out.summary() for name, out in outcomes.items()},
-            )
-
-        error_classes = {out.error for out in outcomes.values()}
-        if error_classes == {None}:
-            pass  # all succeeded
-        elif len(error_classes) == 1:
-            # Everyone failed the same way; statement had no effect anywhere.
-            return None
-        else:
-            encrypted = {
-                name: out for name, out in outcomes.items()
-                if name.startswith(ENCRYPTED_PREFIX)
-            }
-            plaintext = {
-                name: out for name, out in outcomes.items()
-                if not name.startswith(ENCRYPTED_PREFIX)
-            }
-            proxy_refused = (
-                encrypted
-                and all(out.error == "unsupported" for out in encrypted.values())
-                and all(out.error is None for out in plaintext.values())
-            )
-            if (
-                proxy_refused
-                and statement.kind == "select"
-                and statement.may_be_unsupported
-            ):
-                # Figure 9: the proxy may refuse a read it cannot run over
-                # ciphertext -- but only where the generator declared the
-                # refusal legitimate.  An unflagged refusal is a divergence,
-                # so an over-refusing proxy regression cannot hide behind
-                # this branch; plaintext lanes must still agree on the answer.
-                report.refused_by_proxy += 1
-                outcomes = plaintext
-            else:
-                return diverge("lanes disagree on success/failure")
-
-        successes = {n: o for n, o in outcomes.items() if o.error is None}
-        if not successes:
-            return None
-        reference_name, reference = next(iter(successes.items()))
-
-        if reference.rows is not None:
-            report.selects_compared += 1
-            expected = _normalize(reference.rows, statement.ordered)
-            for name, outcome in successes.items():
-                if outcome.rows is None:
-                    return diverge(f"{name} returned no result set")
-                actual = _normalize(outcome.rows, statement.ordered)
-                if not _rows_match(expected, actual):
-                    return diverge(
-                        f"result rows differ between {reference_name} and {name}: "
-                        f"{expected[:5]!r} vs {actual[:5]!r}"
-                    )
-            return None
-
+    if reference.rows is not None:
+        report.selects_compared += 1
+        expected = _normalize(reference.rows, statement.ordered)
         for name, outcome in successes.items():
-            if outcome.rows is not None:
-                return diverge(f"{name} unexpectedly returned rows")
-            if outcome.rowcount != reference.rowcount:
+            if outcome.rows is None:
+                return diverge(f"{name} returned no result set")
+            actual = _normalize(outcome.rows, statement.ordered)
+            if not _rows_match(expected, actual):
                 return diverge(
-                    f"rowcount differs between {reference_name} "
-                    f"({reference.rowcount}) and {name} ({outcome.rowcount})"
+                    f"result rows differ between {reference_name} and {name}: "
+                    f"{expected[:5]!r} vs {actual[:5]!r}"
                 )
         return None
 
-    # -- entry point with shrinking --------------------------------------
+    for name, outcome in successes.items():
+        if outcome.rows is not None:
+            return diverge(f"{name} unexpectedly returned rows")
+        if outcome.rowcount != reference.rowcount:
+            return diverge(
+                f"rowcount differs between {reference_name} "
+                f"({reference.rowcount}) and {name} ({outcome.rowcount})"
+            )
+    return None
+
+
+def _resync_shadow(lanes: dict[str, Connection], lane: str, report) -> None:
+    """Mirror an aborted transaction on ``lane`` onto the ``enc-shadow`` lane.
+
+    When a fault or a crash kills a lane's transaction, its backend rolls
+    the whole transaction back; the shadow must roll back too or the lanes'
+    visible states drift apart.
+    """
+    shadow = lanes["enc-shadow"]
+    if shadow._in_transaction() and not lanes[lane]._in_transaction():
+        with faults.paused():
+            shadow.rollback()
+        report.transactions_resynced += 1
+
+
+# ---------------------------------------------------------------------------
+# the lockstep core
+# ---------------------------------------------------------------------------
+class LockstepRunner:
+    """The one replay loop; subclasses plug in lanes and perturbations.
+
+    Per statement: :meth:`_step` runs it on the lanes (returning None skips
+    the comparison), :func:`compare` checks the outcomes, then
+    :meth:`_after_step` may report an invariant violation.  The loop stops
+    at the first failure; a stream that completes gets :meth:`_at_end`'s
+    checks.  The armed context (:meth:`_armed`) wraps the loop, and lanes
+    close outside it.
+    """
+
+    def _new_report(self) -> RunReport:
+        return RunReport()
+
+    def _open_lanes(self) -> dict[str, Connection]:
+        raise NotImplementedError
+
+    def _armed(self, lanes: dict[str, Connection], report: RunReport) -> ContextManager:
+        return contextlib.nullcontext()
+
+    def _step(self, index, statement, lanes, report) -> Optional[dict[str, LaneOutcome]]:
+        return {name: run_statement(conn, statement) for name, conn in lanes.items()}
+
+    def _after_step(self, lanes: dict[str, Connection], report: RunReport) -> Optional[str]:
+        return None
+
+    def _at_end(self, lanes: dict[str, Connection]) -> list[str]:
+        return []
+
+    def _close_lanes(self, lanes: dict[str, Connection], report: RunReport) -> None:
+        for conn in lanes.values():
+            conn.close()
+
+    def run(self, statements: Sequence[GeneratedStatement]) -> RunReport:
+        """Replay one stream on fresh lanes; stop at the first failure."""
+        report = self._new_report()
+        lanes = self._open_lanes()
+        try:
+            with self._armed(lanes, report):
+                for index, statement in enumerate(statements):
+                    outcomes = self._step(index, statement, lanes, report)
+                    report.statements_executed += 1
+                    if outcomes is not None:
+                        report.divergence = compare(index, statement, outcomes, report)
+                    if report.divergence is None:
+                        violation = self._after_step(lanes, report)
+                        if violation is not None:
+                            report.violations.append(
+                                f"after statement #{index} "
+                                f"({statement.describe()}): {violation}"
+                            )
+                    if not report.ok:
+                        break
+                else:
+                    report.violations.extend(self._at_end(lanes))
+        finally:
+            self._close_lanes(lanes, report)
+        return report
+
     def run_with_shrinking(
         self,
         statements: Sequence[GeneratedStatement],
         seed: Optional[int] = None,
         max_probes: int = 400,
     ) -> RunReport:
-        """Replay a stream; on divergence, ddmin-minimize it for the report."""
+        """Replay a stream; on failure, ddmin-minimize it for the report."""
         report = self.run(statements)
-        report.seed = seed
+        if seed is not None:
+            report.seed = seed
         if report.ok:
             return report
-        from repro.testing.shrinker import shrink_stream
 
         def still_fails(candidate: Sequence[GeneratedStatement]) -> bool:
             return not self.run(candidate).ok
@@ -383,6 +454,16 @@ class DifferentialRunner:
             list(statements), still_fails, max_probes=max_probes
         )
         return report
+
+
+class DifferentialRunner(LockstepRunner):
+    """Replays statement streams over fresh lanes and compares outcomes."""
+
+    def __init__(self, lane_factory: LaneFactory):
+        self.lane_factory = lane_factory
+
+    def _open_lanes(self) -> dict[str, Connection]:
+        return self.lane_factory()
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +483,6 @@ _SCOPE_TARGETS: dict[str, Callable[[Any], Any]] = {
     "pool.scatter": lambda server: server.proxy.pool,
     "paillier.refill": lambda server: server.proxy,
 }
-
-#: Sentinel: a probe the encrypted proxy refused (NotSupportedError).
-_REFUSED = object()
 
 
 def conformance_problems(plan: "faults.FaultPlan") -> list[str]:
@@ -442,44 +520,26 @@ def conformance_problems(plan: "faults.FaultPlan") -> list[str]:
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(RunReport):
     """Outcome of one stream replayed under an armed fault plan."""
 
-    statements_executed: int = 0
-    selects_compared: int = 0
-    refused_by_proxy: int = 0
     faults_injected: int = 0
     chaos_errors: int = 0  # statements that failed cleanly on the chaos lane
     transactions_resynced: int = 0
     invariant_checks: int = 0
-    invariant_violations: list = field(default_factory=list)
     client_reconnects: int = 0
     client_retries: int = 0
-    divergence: Optional[Divergence] = None
     injector_stats: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.divergence is None and not self.invariant_violations
-
-    def describe(self) -> str:
-        lines = [
-            f"{'conformant' if self.ok else 'FAILED'}: "
-            f"{self.statements_executed} statements, "
+    def summary(self) -> str:
+        return (
+            f"{super().summary()}, "
             f"{self.faults_injected} faults injected, "
             f"{self.chaos_errors} clean chaos errors, "
-            f"{self.selects_compared} SELECT comparisons, "
             f"{self.client_reconnects} reconnects, "
             f"{self.client_retries} transparent retries, "
             f"{self.invariant_checks} invariant checks"
-        ]
-        if self.seed is not None:
-            lines.append(f"reproduce with --repro-seed={self.seed}")
-        if self.divergence is not None:
-            lines.append(self.divergence.describe())
-        lines.extend(f"invariant violation: {v}" for v in self.invariant_violations)
-        return "\n".join(lines)
+        )
 
 
 class _ProbeStats:
@@ -490,18 +550,18 @@ class _ProbeStats:
     plan_cache_invalidations = 0
 
 
-class ChaosRunner:
+class ChaosRunner(LockstepRunner):
     """Replay a stream under an armed fault plan and demand conformance.
 
     Two lanes run in lockstep: ``enc-chaos`` -- a real TCP connection to an
     embedded :class:`~repro.server.loopback.LoopbackServer` with the fault
-    plan armed and scoped to exactly that stack -- and ``shadow``, an
+    plan armed and scoped to exactly that stack -- and ``enc-shadow``, an
     identical in-process encrypted proxy that never sees a fault.  Every
     statement runs on the chaos lane first:
 
-    * success: the shadow runs it too (injection paused) and the answers
-      must match, row for row;
-    * clean DB-API failure: the statement was not applied (see
+    * success or refusal: the shadow runs it too (injection paused) and the
+      outcomes must match, row for row and refusal for refusal;
+    * any other clean DB-API failure: the statement was not applied (see
       :func:`conformance_problems`), so the shadow skips it; if the chaos
       lane's transaction aborted, the shadow's is rolled back to match;
     * anything that escapes as a non-DB-API exception propagates -- chaos
@@ -545,7 +605,6 @@ class ChaosRunner:
             **(client_kwargs or {}),
         }
 
-    # -- plan scoping ----------------------------------------------------
     def _scoped_plan(self, server) -> "faults.FaultPlan":
         """Pin unscoped rules to the chaos server's own objects."""
         rules = []
@@ -559,208 +618,105 @@ class ChaosRunner:
             rules.append(rule)
         return faults.FaultPlan(self.plan.seed, rules)
 
-    # -- the replay loop -------------------------------------------------
-    def run(self, statements: Sequence[GeneratedStatement]) -> ChaosReport:
+    # -- lockstep plug-in ------------------------------------------------
+    def _new_report(self) -> ChaosReport:
+        return ChaosReport()
+
+    def _open_lanes(self) -> dict[str, Connection]:
         from repro.server.loopback import connect_loopback
 
-        report = ChaosReport()
-        chaos = connect_loopback(
-            backend="memory",
-            client_kwargs=self.client_kwargs,
-            **self.server_kwargs,
-        )
-        server = chaos.loopback_server.server
-        shadow = connect(backend="memory", **self.shadow_kwargs)
-        try:
-            with faults.armed(self._scoped_plan(server)) as injector:
-                for index, statement in enumerate(statements):
-                    fired_before = injector.fired_count
-                    chaos_out = DifferentialRunner._run_statement(
-                        chaos, statement
-                    )
-                    report.statements_executed += 1
-                    if chaos_out.error is not None:
-                        # The chaos lane failed cleanly; the statement was
-                        # not applied there, so the shadow skips it -- but a
-                        # refusal (NotSupportedError) is proxy behaviour,
-                        # not a fault, and must be symmetric.
-                        with faults.paused():
-                            if chaos_out.error == "unsupported":
-                                shadow_out = DifferentialRunner._run_statement(
-                                    shadow, statement
-                                )
-                                if shadow_out.error != "unsupported":
-                                    report.divergence = self._diverge(
-                                        index,
-                                        statement,
-                                        chaos_out,
-                                        shadow_out,
-                                        "chaos lane refused a statement the "
-                                        "fault-free shadow accepts",
-                                    )
-                                    break
-                                report.refused_by_proxy += 1
-                            else:
-                                report.chaos_errors += 1
-                                self._resync_transactions(
-                                    chaos, shadow, report
-                                )
-                    else:
-                        with faults.paused():
-                            shadow_out = DifferentialRunner._run_statement(
-                                shadow, statement
-                            )
-                        divergence = self._compare(
-                            index, statement, chaos_out, shadow_out, report
-                        )
-                        if divergence is not None:
-                            report.divergence = divergence
-                            break
-                    if injector.fired_count > fired_before:
-                        report.faults_injected += (
-                            injector.fired_count - fired_before
-                        )
-                        with faults.paused():
-                            violation = self._check_invariants(
-                                chaos, shadow, server
-                            )
-                        report.invariant_checks += 1
-                        if violation is not None:
-                            report.invariant_violations.append(
-                                f"after statement #{index} "
-                                f"({statement.describe()}): {violation}"
-                            )
-                            break
-                report.injector_stats = injector.stats()
-        finally:
-            client = chaos.proxy
-            report.client_reconnects = client.reconnects
-            report.client_retries = client.retries
-            shadow.close()
-            chaos.close()
-        return report
+        return {
+            "enc-chaos": connect_loopback(
+                backend="memory", client_kwargs=self.client_kwargs, **self.server_kwargs
+            ),
+            "enc-shadow": connect(backend="memory", **self.shadow_kwargs),
+        }
 
-    # -- lockstep comparison ---------------------------------------------
-    @staticmethod
-    def _diverge(index, statement, chaos_out, shadow_out, reason) -> Divergence:
-        return Divergence(
-            index,
-            statement,
-            reason,
-            {"enc-chaos": chaos_out.summary(), "shadow": shadow_out.summary()},
-        )
+    @contextlib.contextmanager
+    def _armed(self, lanes, report):
+        server = lanes["enc-chaos"].loopback_server.server
+        with faults.armed(self._scoped_plan(server)) as self._injector:
+            yield
+            report.injector_stats = self._injector.stats()
 
-    def _compare(
-        self,
-        index: int,
-        statement: GeneratedStatement,
-        chaos_out: LaneOutcome,
-        shadow_out: LaneOutcome,
-        report: ChaosReport,
-    ) -> Optional[Divergence]:
-        if shadow_out.error is not None:
-            return self._diverge(
-                index, statement, chaos_out, shadow_out,
-                "shadow failed a statement the chaos lane ran",
-            )
-        if chaos_out.rows is not None:
-            if shadow_out.rows is None:
-                return self._diverge(
-                    index, statement, chaos_out, shadow_out,
-                    "shadow returned no result set",
-                )
-            report.selects_compared += 1
-            expected = _normalize(shadow_out.rows, statement.ordered)
-            actual = _normalize(chaos_out.rows, statement.ordered)
-            if not _rows_match(expected, actual):
-                return self._diverge(
-                    index, statement, chaos_out, shadow_out,
-                    f"result rows differ under faults: "
-                    f"{expected[:5]!r} vs {actual[:5]!r}",
-                )
+    def _step(self, index, statement, lanes, report):
+        self._fired_before = self._injector.fired_count
+        chaos_out = run_statement(lanes["enc-chaos"], statement)
+        with faults.paused():
+            if chaos_out.error == "error":
+                # The chaos lane failed cleanly; the statement was not
+                # applied there, so the shadow skips it.  A refusal is
+                # proxy behaviour, not a fault, and is compared instead.
+                report.chaos_errors += 1
+                _resync_shadow(lanes, "enc-chaos", report)
+                return None
+            return {
+                "enc-chaos": chaos_out,
+                "enc-shadow": run_statement(lanes["enc-shadow"], statement),
+            }
+
+    def _after_step(self, lanes, report) -> Optional[str]:
+        fired = self._injector.fired_count - self._fired_before
+        if not fired:
             return None
-        if shadow_out.rows is not None:
-            return self._diverge(
-                index, statement, chaos_out, shadow_out,
-                "shadow unexpectedly returned rows",
-            )
-        if chaos_out.rowcount != shadow_out.rowcount:
-            return self._diverge(
-                index, statement, chaos_out, shadow_out,
-                f"rowcount differs under faults "
-                f"({chaos_out.rowcount} vs {shadow_out.rowcount})",
-            )
-        return None
+        report.faults_injected += fired
+        report.invariant_checks += 1
+        with faults.paused():
+            return self._check_invariants(lanes["enc-chaos"], lanes["enc-shadow"])
 
-    def _resync_transactions(
-        self, chaos: Connection, shadow: Connection, report: ChaosReport
-    ) -> None:
-        """Mirror a chaos-side transaction abort onto the shadow.
-
-        When a fault kills the connection mid-transaction the server rolls
-        the whole transaction back; the shadow must roll back too or the
-        lanes' visible states drift apart.
-        """
-        if shadow._in_transaction() and not chaos._in_transaction():
-            shadow.cursor().execute("ROLLBACK")
-            report.transactions_resynced += 1
+    def _close_lanes(self, lanes, report) -> None:
+        client = lanes["enc-chaos"].proxy
+        report.client_reconnects = client.reconnects
+        report.client_retries = client.retries
+        super()._close_lanes(lanes, report)
 
     # -- invariants -------------------------------------------------------
-    def _probe(self, connection: Connection, sql: str):
-        """Run one probe; rows, ``_REFUSED``, or an error string."""
-        try:
-            cursor = connection.cursor()
-            cursor.execute(sql)
-            return [tuple(row) for row in cursor.fetchall()]
-        except exceptions.NotSupportedError:
-            return _REFUSED
-        except exceptions.Error as exc:
-            return f"{type(exc).__name__}: {exc}"
+    @staticmethod
+    def _probe_both(chaos: Connection, shadow: Connection, sql: str):
+        """One probe on both lanes: (chaos, shadow) outcomes, or a failure."""
+        probe = GeneratedStatement(sql, kind="select")
+        chaos_out = run_statement(chaos, probe)
+        shadow_out = run_statement(shadow, probe)
+        if "error" in (chaos_out.error, shadow_out.error):
+            return None, (
+                f"failed (chaos: {chaos_out.summary():.120}, "
+                f"shadow: {shadow_out.summary():.120})"
+            )
+        if chaos_out.error != shadow_out.error:
+            return None, "asymmetric refusal"
+        return (chaos_out, shadow_out), None
 
-    def _check_invariants(
-        self, chaos: Connection, shadow: Connection, server
-    ) -> Optional[str]:
+    def _check_invariants(self, chaos: Connection, shadow: Connection) -> Optional[str]:
         """Proxy-metadata <-> backend consistency, probed through both lanes.
 
         Called with injection paused.  Returns a description of the first
         violated invariant, or None.
         """
-        shadow_proxy = shadow.proxy
-        tables = sorted(
-            set(shadow_proxy.schema.tables) | set(server.proxy.schema.tables)
-        )
+        server = chaos.loopback_server.server
+        shadow_schema = shadow.proxy.schema
+        tables = sorted(set(shadow_schema.tables) | set(server.proxy.schema.tables))
         for table in tables:
-            chaos_rows = self._probe(chaos, f"SELECT * FROM {table}")
-            shadow_rows = self._probe(shadow, f"SELECT * FROM {table}")
-            if isinstance(chaos_rows, str) or isinstance(shadow_rows, str):
-                return (
-                    f"probing table {table} failed "
-                    f"(chaos: {chaos_rows!r:.120}, shadow: {shadow_rows!r:.120})"
-                )
-            if (chaos_rows is _REFUSED) != (shadow_rows is _REFUSED):
-                return f"asymmetric refusal reading table {table}"
-            if chaos_rows is _REFUSED:
-                continue
+            outs, problem = self._probe_both(chaos, shadow, f"SELECT * FROM {table}")
+            if problem is not None:
+                return f"probe of table {table}: {problem}"
+            chaos_out, shadow_out = outs
+            if chaos_out.error is not None:
+                continue  # refused on both lanes
             if not _rows_match(
-                _normalize(shadow_rows, ordered=False),
-                _normalize(chaos_rows, ordered=False),
+                _normalize(shadow_out.rows, ordered=False),
+                _normalize(chaos_out.rows, ordered=False),
             ):
                 return (
-                    f"table {table} diverged: shadow has {len(shadow_rows)} "
-                    f"row(s), chaos lane has {len(chaos_rows)}"
+                    f"table {table} diverged: shadow has {len(shadow_out.rows)} "
+                    f"row(s), chaos lane has {len(chaos_out.rows)}"
                 )
-            violation = self._check_sums(chaos, shadow, table, shadow_rows)
+            names = shadow_schema.tables[table].column_names()
+            violation = self._check_sums(chaos, shadow, table, names, shadow_out.rows)
             if violation is not None:
                 return violation
         return self._check_plan_cache(server)
 
-    def _check_sums(
-        self,
-        chaos: Connection,
-        shadow: Connection,
-        table: str,
-        shadow_rows: list,
-    ) -> Optional[str]:
+    def _check_sums(self, chaos, shadow, table, names, shadow_rows) -> Optional[str]:
         """SUM every numeric column through both proxies vs. a Python sum.
 
         The SQL SUM rides the HOM (Paillier) onion, so this is the probe
@@ -768,36 +724,23 @@ class ChaosRunner:
         of step -- a lowered-but-unadjusted onion or a readable HOM-stale
         slot yields a sum that disagrees with the plaintext recomputation.
         """
-        cursor = shadow.cursor()
-        cursor.execute(f"SELECT * FROM {table}")
-        cursor.fetchall()
-        names = [col[0] for col in cursor.description or []]
         for col_index, name in enumerate(names):
-            values = [
-                row[col_index]
-                for row in shadow_rows
-                if row[col_index] is not None
-            ]
+            values = [row[col_index] for row in shadow_rows if row[col_index] is not None]
             if not values or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
                 for v in values
             ):
                 continue
-            sql = f"SELECT SUM({name}) FROM {table}"
-            chaos_sum = self._probe(chaos, sql)
-            shadow_sum = self._probe(shadow, sql)
-            if isinstance(chaos_sum, str) or isinstance(shadow_sum, str):
-                return (
-                    f"SUM probe on {table}.{name} failed "
-                    f"(chaos: {chaos_sum!r:.120}, shadow: {shadow_sum!r:.120})"
-                )
-            if (chaos_sum is _REFUSED) != (shadow_sum is _REFUSED):
-                return f"asymmetric SUM refusal on {table}.{name}"
-            if chaos_sum is _REFUSED:
-                continue
+            outs, problem = self._probe_both(
+                chaos, shadow, f"SELECT SUM({name}) FROM {table}"
+            )
+            if problem is not None:
+                return f"SUM probe on {table}.{name}: {problem}"
+            if outs[0].error is not None:
+                continue  # refused on both lanes
             expected = sum(values)
-            for lane, got in (("chaos", chaos_sum), ("shadow", shadow_sum)):
-                answer = got[0][0] if got and got[0] else None
+            for lane, out in zip(("chaos", "shadow"), outs):
+                answer = out.rows[0][0] if out.rows and out.rows[0] else None
                 if answer is None or not _cells_match(answer, expected):
                     return (
                         f"SUM({table}.{name}) on the {lane} lane is "
@@ -829,13 +772,10 @@ class ChaosRunner:
 # the crash-recovery lane
 # ---------------------------------------------------------------------------
 @dataclass
-class RecoveryReport:
+class RecoveryReport(RunReport):
     """Outcome of one stream with a simulated crash and catalog recovery."""
 
     crash_site: Optional[str] = None
-    statements_executed: int = 0
-    selects_compared: int = 0
-    refused: int = 0
     crashed: bool = False
     crash_index: Optional[int] = None
     recoveries: int = 0
@@ -843,34 +783,17 @@ class RecoveryReport:
     #: proxy "died" and had to be resolved (via the canary) on recovery.
     in_doubt_resolved: int = 0
     transactions_resynced: int = 0
-    divergence: Optional[Divergence] = None
-    metadata_mismatches: list = field(default_factory=list)
-    seed: Optional[int] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.divergence is None and not self.metadata_mismatches
-
-    def describe(self) -> str:
-        lines = [
-            f"{'conformant' if self.ok else 'FAILED'}: "
-            f"{self.statements_executed} statements, "
-            f"crash at {self.crash_site} "
-            f"({'statement #%s' % self.crash_index if self.crashed else 'never fired'}), "
+    def summary(self) -> str:
+        fired = f"statement #{self.crash_index}" if self.crashed else "never fired"
+        return (
+            f"{super().summary()}, crash at {self.crash_site} ({fired}), "
             f"{self.recoveries} recoveries, "
-            f"{self.in_doubt_resolved} in-doubt adjustments resolved, "
-            f"{self.selects_compared} SELECT comparisons, "
-            f"{self.refused} symmetric refusals"
-        ]
-        if self.seed is not None:
-            lines.append(f"reproduce with --repro-seed={self.seed}")
-        if self.divergence is not None:
-            lines.append(self.divergence.describe())
-        lines.extend(f"metadata mismatch: {m}" for m in self.metadata_mismatches)
-        return "\n".join(lines)
+            f"{self.in_doubt_resolved} in-doubt adjustments resolved"
+        )
 
 
-class RecoveryRunner:
+class RecoveryRunner(LockstepRunner):
     """Kill the proxy at a named crash point mid-stream and demand recovery.
 
     Two encrypted proxies run the same stream in lockstep, sharing one
@@ -880,7 +803,7 @@ class RecoveryRunner:
       database, or N sharded SQLite files) writing every metadata mutation
       through a :class:`~repro.durability.MetadataCatalog`, with a one-shot
       :func:`faults.crash` rule armed at one of :data:`faults.CRASH_SITES`;
-    * ``shadow`` -- an identical in-memory proxy with no catalog and no
+    * ``enc-shadow`` -- an identical in-memory proxy with no catalog and no
       faults, the uninterrupted reference.
 
     When the crash fires, the harness simulates process death -- unsynced
@@ -893,6 +816,9 @@ class RecoveryRunner:
     scalars (re-derived from the master key, never logged), shard routing
     and the plan-cache schema version.  Any in-doubt two-phase adjustment
     must be resolved during recovery -- none may survive.
+
+    Each :meth:`run` works in a fresh subdirectory of ``workdir``, so one
+    runner can replay many streams (as :meth:`run_with_shrinking` does).
     """
 
     #: ``mode`` -> proxy/backend flavour of the primary lane.
@@ -928,39 +854,41 @@ class RecoveryRunner:
         kwargs = dict(proxy_kwargs)
         kwargs.setdefault("hom_precompute", 8)
         self.proxy_kwargs = kwargs
-        self._wal_path = os.path.join(self.workdir, "catalog.wal")
-        self._db_path = os.path.join(self.workdir, "primary.db")
-        self._shard_paths = [
-            os.path.join(self.workdir, f"primary.shard{i}") for i in range(shards)
-        ]
 
     # -- lane construction -------------------------------------------------
-    def _build_backend(self, allow_existing: bool):
-        if self.mode == "sharded":
-            from repro.shard.backend import ShardedBackend
+    def _path(self, name: str) -> str:
+        return os.path.join(self._run_dir, name)
 
-            return ShardedBackend(
-                shards=self.shards,
-                base="sqlite",
-                mode=self.sharded_mode,
-                paths=self._shard_paths,
-                allow_existing=allow_existing,
-            )
-        from repro.api.sqlite_backend import SQLiteBackend
-
-        return SQLiteBackend(path=self._db_path, allow_existing=allow_existing)
-
-    def _build_primary(self, allow_existing: bool):
+    def _build_primary(self, allow_existing: bool) -> Connection:
         from repro.core.proxy import CryptDBProxy
         from repro.durability import MetadataCatalog
 
-        return CryptDBProxy(
-            db=self._build_backend(allow_existing),
-            catalog=MetadataCatalog(self._wal_path, snapshot_every=self.snapshot_every),
+        if self.mode == "sharded":
+            from repro.shard.backend import ShardedBackend
+
+            backend = ShardedBackend(
+                shards=self.shards,
+                base="sqlite",
+                mode=self.sharded_mode,
+                paths=[self._path(f"primary.shard{i}") for i in range(self.shards)],
+                allow_existing=allow_existing,
+            )
+        else:
+            from repro.api.sqlite_backend import SQLiteBackend
+
+            backend = SQLiteBackend(
+                path=self._path("primary.db"), allow_existing=allow_existing
+            )
+        proxy = CryptDBProxy(
+            db=backend,
+            catalog=MetadataCatalog(
+                self._path("catalog.wal"), snapshot_every=self.snapshot_every
+            ),
             **self.proxy_kwargs,
         )
+        return Connection(proxy, owns_backend=True, owns_proxy=True)
 
-    def _build_shadow(self):
+    def _build_shadow(self) -> Connection:
         from repro.core.proxy import CryptDBProxy
 
         db = None
@@ -968,107 +896,92 @@ class RecoveryRunner:
             from repro.shard.backend import ShardedBackend
 
             db = ShardedBackend(shards=self.shards, mode=self.sharded_mode)
-        return CryptDBProxy(db=db, **self.proxy_kwargs)
+        return Connection(CryptDBProxy(db=db, **self.proxy_kwargs), owns_proxy=True)
 
-    @staticmethod
-    def _close_backend(backend) -> None:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+    # -- lockstep plug-in --------------------------------------------------
+    def _new_report(self) -> RecoveryReport:
+        return RecoveryReport(crash_site=self.crash_site, seed=self.seed)
 
-    # -- statement execution ----------------------------------------------
-    @staticmethod
-    def _run_statement(proxy, statement: GeneratedStatement) -> LaneOutcome:
-        try:
-            result = proxy.execute(statement.sql, statement.params)
-        except SimulatedCrash:
-            raise
-        except UnsupportedQueryError as exc:
-            return LaneOutcome(error="unsupported", error_detail=str(exc)[:120])
-        except ReproError as exc:
-            return LaneOutcome(
-                error="error", error_detail=f"{type(exc).__name__}: {str(exc)[:120]}"
+    def _open_lanes(self) -> dict[str, Connection]:
+        self._run_dir = tempfile.mkdtemp(prefix="run-", dir=self.workdir)
+        return {
+            "enc-recovery": self._build_primary(allow_existing=False),
+            "enc-shadow": self._build_shadow(),
+        }
+
+    def _armed(self, lanes, report):
+        return faults.armed(
+            faults.FaultPlan(
+                self.seed, [faults.crash(self.crash_site, at_hit=self.at_hit)]
             )
-        if statement.kind == "select":
-            return LaneOutcome(rows=[tuple(row) for row in result.rows])
-        return LaneOutcome(rowcount=max(result.rowcount, 0))
-
-    # -- the replay loop ---------------------------------------------------
-    def run(self, statements: Sequence[GeneratedStatement]) -> RecoveryReport:
-        report = RecoveryReport(crash_site=self.crash_site, seed=self.seed)
-        primary = self._build_primary(allow_existing=False)
-        shadow = self._build_shadow()
-        plan = faults.FaultPlan(
-            self.seed, [faults.crash(self.crash_site, at_hit=self.at_hit)]
         )
+
+    def _step(self, index, statement, lanes, report):
         try:
-            with faults.armed(plan):
-                for index, statement in enumerate(statements):
-                    try:
-                        primary_out = self._run_statement(primary, statement)
-                    except SimulatedCrash:
-                        report.crashed = True
-                        report.crash_index = index
-                        primary = self._recover(primary, report)
-                        primary_out = self._resume(primary, shadow, statement, report)
-                        if primary_out is None:
-                            report.statements_executed += 1
-                            continue
-                    report.statements_executed += 1
-                    with faults.paused():
-                        shadow_out = self._run_statement(shadow, statement)
-                    divergence = self._compare(
-                        index, statement, primary_out, shadow_out, report
-                    )
-                    if divergence is not None:
-                        report.divergence = divergence
-                        return report
-            report.metadata_mismatches.extend(
-                self._metadata_mismatches(primary, shadow)
-            )
-        finally:
-            shadow.close()
-            primary.close()
-            self._close_backend(primary.db)
-        return report
+            primary_out = run_statement(lanes["enc-recovery"], statement)
+        except SimulatedCrash:
+            report.crashed = True
+            report.crash_index = index
+            self._recover(lanes, report)
+            primary_out = self._resume(lanes, statement, report)
+            if primary_out is None:
+                return None
+        with faults.paused():
+            shadow_out = run_statement(lanes["enc-shadow"], statement)
+        return {"enc-recovery": primary_out, "enc-shadow": shadow_out}
+
+    def _at_end(self, lanes) -> list[str]:
+        """Recovered metadata vs. the never-crashed shadow, field by field.
+
+        The plan-cache schema *version* is deliberately absent: it is a
+        monotonic invalidation counter whose absolute value is
+        path-dependent -- an adjustment lowered and then rolled back inside
+        a transaction bumps the live counter twice while replaying the log
+        correctly collapses the round-trip to a no-op.  Recovery restores
+        the logged version and the rebuilt proxy starts with an empty plan
+        cache, so only the *semantic* state below has to agree.
+        """
+        mine = self._fingerprint(lanes["enc-recovery"].proxy)
+        theirs = self._fingerprint(lanes["enc-shadow"].proxy)
+        return [
+            f"{key} diverged after recovery: {mine[key]!r} != {theirs[key]!r}"
+            for key in mine
+            if mine[key] != theirs[key]
+        ]
 
     # -- crash + recovery --------------------------------------------------
-    def _recover(self, primary, report: RecoveryReport):
+    def _recover(self, lanes: dict[str, Connection], report: RecoveryReport) -> None:
         """Simulate process death, then rebuild the proxy from the catalog."""
         # The process is gone: unsynced WAL records vanish, the backend
         # connection drops (sqlite rolls back any open transaction), and no
-        # in-memory metadata survives.
-        if primary.catalog is not None:
-            primary.catalog.abandon()
-        primary.close()
-        self._close_backend(primary.db)
+        # in-memory metadata survives -- so no rollback runs through the
+        # dead connection.
+        dead = lanes["enc-recovery"].proxy
+        if dead.catalog is not None:
+            dead.catalog.abandon()
+        dead.close()
+        dead.db.close()
         report.in_doubt_resolved += self._pending_in_doubt()
-        rebuilt = self._build_primary(allow_existing=True)
+        lanes["enc-recovery"] = rebuilt = self._build_primary(allow_existing=True)
         report.recoveries += 1
-        if rebuilt.catalog.state.in_doubt:
-            report.metadata_mismatches.append(
+        if rebuilt.proxy.catalog.state.in_doubt:
+            report.violations.append(
                 "in-doubt intents survived recovery: "
-                f"{sorted(rebuilt.catalog.state.in_doubt)}"
+                f"{sorted(rebuilt.proxy.catalog.state.in_doubt)}"
             )
-        return rebuilt
 
     def _pending_in_doubt(self) -> int:
         """In-doubt intents the durable log holds at the moment of death."""
-        if not os.path.exists(self._wal_path):
+        wal_path = self._path("catalog.wal")
+        if not os.path.exists(wal_path):
             return 0
         from repro.durability import decode_records, replay_records
 
-        with open(self._wal_path, "rb") as handle:
+        with open(wal_path, "rb") as handle:
             records, _ = decode_records(handle.read())
         return len(replay_records(records).in_doubt)
 
-    def _resume(
-        self,
-        primary,
-        shadow,
-        statement: GeneratedStatement,
-        report: RecoveryReport,
-    ) -> Optional[LaneOutcome]:
+    def _resume(self, lanes, statement, report) -> Optional[LaneOutcome]:
         """Replay the statement the crash interrupted; None when done.
 
         Crash points fire only around catalog writes, which order the
@@ -1083,91 +996,22 @@ class RecoveryRunner:
         """
         if statement.kind == "txn":
             with faults.paused():
-                self._run_statement(shadow, statement)
+                run_statement(lanes["enc-shadow"], statement)
             return None
-        if shadow.db.transactions.in_transaction:
-            with faults.paused():
-                shadow.execute("ROLLBACK")
-            report.transactions_resynced += 1
+        _resync_shadow(lanes, "enc-recovery", report)
+        primary = lanes["enc-recovery"]
         if statement.kind == "ddl":
             words = statement.sql.split()
             if (
                 len(words) >= 3
                 and words[0].upper() == "CREATE"
                 and words[1].upper() == "TABLE"
-                and primary.schema.has_table(words[2])
+                and primary.proxy.schema.has_table(words[2])
             ):
                 return LaneOutcome(rowcount=0)
-        return self._run_statement(primary, statement)
-
-    # -- comparison --------------------------------------------------------
-    def _compare(
-        self,
-        index: int,
-        statement: GeneratedStatement,
-        primary_out: LaneOutcome,
-        shadow_out: LaneOutcome,
-        report: RecoveryReport,
-    ) -> Optional[Divergence]:
-        def diverge(reason: str) -> Divergence:
-            return Divergence(
-                index,
-                statement,
-                reason,
-                {
-                    "enc-recovery": primary_out.summary(),
-                    "shadow": shadow_out.summary(),
-                },
-            )
-
-        if primary_out.error != shadow_out.error:
-            return diverge("lanes disagree on success/failure after recovery")
-        if primary_out.error == "unsupported":
-            report.refused += 1
-            return None
-        if primary_out.error is not None:
-            return None
-        if primary_out.rows is not None:
-            if shadow_out.rows is None:
-                return diverge("shadow returned no result set")
-            report.selects_compared += 1
-            expected = _normalize(shadow_out.rows, statement.ordered)
-            actual = _normalize(primary_out.rows, statement.ordered)
-            if not _rows_match(expected, actual):
-                return diverge(
-                    f"result rows differ after recovery: "
-                    f"{expected[:5]!r} vs {actual[:5]!r}"
-                )
-            return None
-        if shadow_out.rows is not None:
-            return diverge("shadow unexpectedly returned rows")
-        if primary_out.rowcount != shadow_out.rowcount:
-            return diverge(
-                f"rowcount differs after recovery "
-                f"({primary_out.rowcount} vs {shadow_out.rowcount})"
-            )
-        return None
+        return run_statement(primary, statement)
 
     # -- metadata equivalence ----------------------------------------------
-    def _metadata_mismatches(self, primary, shadow) -> list[str]:
-        """Recovered metadata vs. the never-crashed shadow, field by field.
-
-        The plan-cache schema *version* is deliberately absent: it is a
-        monotonic invalidation counter whose absolute value is
-        path-dependent -- an adjustment lowered and then rolled back inside
-        a transaction bumps the live counter twice while replaying the log
-        correctly collapses the round-trip to a no-op.  Recovery restores
-        the logged version and the rebuilt proxy starts with an empty plan
-        cache, so only the *semantic* state below has to agree.
-        """
-        mine = self._fingerprint(primary)
-        theirs = self._fingerprint(shadow)
-        return [
-            f"{key} diverged after recovery: {mine[key]!r} != {theirs[key]!r}"
-            for key in mine
-            if mine[key] != theirs[key]
-        ]
-
     @staticmethod
     def _fingerprint(proxy) -> dict:
         schema = proxy.schema

@@ -129,3 +129,36 @@ def test_plain_backend_close_releases_sqlite_handle():
     # The underlying sqlite3 handle really was released with the connection.
     with pytest.raises(SQLExecutionError, match="closed database"):
         conn.backend.execute("SELECT * FROM s")
+
+
+def test_simulated_crash_crosses_the_dbapi_unwrapped(tmp_path, paillier_keypair):
+    """A simulated process death is no DB-API error, not even in close().
+
+    ``SimulatedCrash`` must reach the caller as itself through a cursor, and
+    ``close()``'s rollback guard -- which swallows DB-API errors from a dead
+    peer -- must not swallow it either; resources are still released.
+    """
+    from repro import faults
+    from repro.crypto.keys import MasterKey
+    from repro.errors import SimulatedCrash
+
+    conn = connect(
+        str(tmp_path / "crash.db"),
+        catalog=str(tmp_path / "crash.wal"),
+        paillier=paillier_keypair,
+        master_key=MasterKey.from_passphrase("crash-unwrapped"),
+    )
+    cur = conn.cursor()
+    cur.execute("CREATE TABLE sc (id INT, v INT)")
+    cur.execute("INSERT INTO sc (id, v) VALUES (1, 2)")
+    conn.begin()
+    with faults.armed(faults.FaultPlan(0, [faults.crash("wal.append")])):
+        with pytest.raises(SimulatedCrash) as crashed:
+            cur.execute("SELECT id FROM sc WHERE v = 2")
+    assert not isinstance(crashed.value, exceptions.Error)
+
+    conn.execute("SELECT id FROM sc WHERE v = 2")  # logs a pending intent
+    with faults.armed(faults.FaultPlan(0, [faults.crash("wal.append")])):
+        with pytest.raises(SimulatedCrash):
+            conn.close()  # the ROLLBACK's abort record is the victim
+    assert conn.closed

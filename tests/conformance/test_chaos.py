@@ -16,7 +16,9 @@ forcing client reconnects and transparent SELECT retries), the server and
 backend (admission and execution errors plus sabotaged Paillier refills),
 and the crypto worker pool (scatter failures falling back to serial).
 
-``CHAOS_STATEMENTS`` scales each stream (CI's chaos-quick job runs 300).
+``CHAOS_STATEMENTS`` scales each stream (CI's chaos-quick job runs 300).  A
+failing stream is ddmin-minimized before it is reported, on a small probe
+budget because every probe starts a fresh loopback server.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from repro.parallel import ParallelConfig
 from repro.testing import ChaosRunner, StatementGenerator, conformance_problems
 
 CHAOS_STATEMENTS = int(os.environ.get("CHAOS_STATEMENTS", "120"))
+
+#: Shrinker probes per failing stream (each one replays on a new server).
+SHRINK_PROBES = 24
 
 
 def _stream(seed: int, offset: int):
@@ -98,8 +103,9 @@ def transport_plan(seed: int) -> faults.FaultPlan:
 
 
 def test_chaos_transport(repro_seed, paillier_keypair):
-    report = _runner(transport_plan(repro_seed), paillier_keypair).run(
-        _stream(repro_seed, offset=1)
+    runner = _runner(transport_plan(repro_seed), paillier_keypair)
+    report = runner.run_with_shrinking(
+        _stream(repro_seed, offset=1), seed=repro_seed, max_probes=SHRINK_PROBES
     )
     _assert_conformant(report)
     # Wire faults must have forced the self-healing client into action.
@@ -121,8 +127,9 @@ def server_backend_plan(seed: int) -> faults.FaultPlan:
 
 
 def test_chaos_server_and_backend(repro_seed, paillier_keypair):
-    report = _runner(server_backend_plan(repro_seed), paillier_keypair).run(
-        _stream(repro_seed, offset=2)
+    runner = _runner(server_backend_plan(repro_seed), paillier_keypair)
+    report = runner.run_with_shrinking(
+        _stream(repro_seed, offset=2), seed=repro_seed, max_probes=SHRINK_PROBES
     )
     _assert_conformant(report)
     # These faults surface as clean per-statement errors, not disconnects.
@@ -152,8 +159,56 @@ def test_chaos_pool_scatter(repro_seed, paillier_keypair):
             workers=2, chunk_threshold=4, scatter_timeout=20.0
         ),
     )
-    report = runner.run(_stream(repro_seed, offset=3))
+    report = runner.run_with_shrinking(
+        _stream(repro_seed, offset=3), seed=repro_seed, max_probes=SHRINK_PROBES
+    )
     _assert_conformant(report)
+
+
+# ---------------------------------------------------------------------------
+# the verdict itself: silent backend corruption must fail the run
+# ---------------------------------------------------------------------------
+def _delete_one_stored_row(context) -> None:
+    """A ``kind="call"`` action: silently drop one row from the chaos backend."""
+    backend = context["target"]
+    for name in backend.table_names():
+        table = backend.table(name)
+        for row_id, _ in table.scan():
+            table.delete(row_id)
+            return
+
+
+def test_silent_row_loss_fails_the_invariant_probe(repro_seed, paillier_keypair):
+    """A fault that corrupts state without any error is caught by the probe.
+
+    The third backend call on the chaos stack (the second INSERT) first
+    deletes a stored row; the statement itself succeeds on both lanes, so
+    only the post-fault table probe can notice.
+    """
+    from repro.testing.generator import GeneratedStatement as S
+
+    plan = faults.FaultPlan(
+        repro_seed,
+        [
+            faults.FaultRule(
+                "backend.execute",
+                kind="call",
+                trigger_hits=(3,),
+                action=_delete_one_stored_row,
+            )
+        ],
+    )
+    stream = [
+        S("CREATE TABLE lost (id INT, v INT)", kind="ddl"),
+        S("INSERT INTO lost (id, v) VALUES (1, 10), (2, 20), (3, 30)"),
+        S("INSERT INTO lost (id, v) VALUES (4, 40)"),
+        S("SELECT COUNT(*) FROM lost", kind="select"),
+    ]
+    report = _runner(plan, paillier_keypair).run(stream)
+    assert not report.ok, report.describe()
+    assert report.divergence is None
+    assert report.faults_injected == 1
+    assert "table lost diverged" in report.describe()
 
 
 # ---------------------------------------------------------------------------

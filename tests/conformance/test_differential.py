@@ -159,3 +159,21 @@ def test_proxy_may_refuse_but_never_lies(runner):
     report = runner.run(stream)
     assert report.ok, report.describe()
     assert report.refused_by_proxy == 1
+
+
+def test_unflagged_refusal_is_a_divergence(runner):
+    """The same refusal where the generator did not allow one must fail."""
+    from repro.testing.generator import GeneratedStatement as S
+
+    stream = [
+        S("CREATE TABLE s (id INT, v INT)", kind="ddl"),
+        S("INSERT INTO s (id, v) VALUES (1, 10), (2, 20)"),
+        S("UPDATE s SET v = v + 5"),
+        S("SELECT id FROM s WHERE v = 15", kind="select", may_be_unsupported=False),
+        S("SELECT SUM(v) FROM s", kind="select"),
+    ]
+    report = runner.run(stream)
+    assert not report.ok
+    assert report.divergence.index == 3
+    assert "lanes disagree on success/failure" in report.describe()
+    assert report.refused_by_proxy == 0

@@ -10,7 +10,7 @@ and zero metadata mismatch against an uninterrupted shadow, and every
 in-doubt two-phase onion adjustment resolved during recovery.
 
 ``RECOVERY_STATEMENTS`` scales the stream (CI's recovery-quick job
-runs 300).
+runs 300).  A failing stream is ddmin-minimized before it is reported.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ RECOVERY_STATEMENTS = int(os.environ.get("RECOVERY_STATEMENTS", "120"))
 #: compaction (a handful per stream each), so only shallow hits are
 #: guaranteed to exist for them.
 AT_HIT = max(2, RECOVERY_STATEMENTS // 20)
+
+#: Shrinker probes per failing stream (each one is a full crash + recovery).
+SHRINK_PROBES = 60
 
 
 def _at_hit(crash_site: str) -> int:
@@ -57,7 +60,9 @@ def run_lane(tmp_path, repro_seed, paillier_keypair):
             master_key=MasterKey.from_passphrase("recovery-lane"),
             paillier=paillier_keypair,
         )
-        report = runner.run(stream)
+        report = runner.run_with_shrinking(
+            stream, seed=repro_seed, max_probes=SHRINK_PROBES
+        )
         assert report.crashed, report.describe()
         assert report.ok, report.describe()
         assert report.selects_compared > 0, report.describe()

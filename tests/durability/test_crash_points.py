@@ -91,3 +91,72 @@ def test_unknown_crash_site_is_rejected(tmp_path):
         RecoveryRunner(tmp_path, "adjust.nonsense")
     with pytest.raises(ValueError, match="unknown recovery mode"):
         RecoveryRunner(tmp_path, "wal.append", mode="quantum")
+
+
+def test_runner_replays_many_streams(tmp_path, paillier_keypair, repro_seed, stream):
+    """Each run works in a fresh subdirectory, so a runner is reusable."""
+    runner = RecoveryRunner(
+        tmp_path,
+        "wal.append",
+        seed=repro_seed,
+        master_key=MASTER_KEY,
+        paillier=paillier_keypair,
+    )
+    first = runner.run(stream)
+    second = runner.run(stream)
+    assert first.ok and second.ok, f"{first.describe()}\n{second.describe()}"
+    assert first.crashed and second.crashed
+    assert first.crash_index == second.crash_index
+
+
+def _levels_only_in_metadata():
+    """Onion adjustments that no later statement of the stream reads back.
+
+    The crash hits the CREATE TABLE after the Eq and Ord adjustments, and
+    the stream ends there: a recovery that loses the logged levels answers
+    every statement correctly, and only the metadata check can tell.
+    """
+    from repro.testing.generator import GeneratedStatement as S
+
+    return [
+        S("CREATE TABLE lv (id INT, v INT)", kind="ddl"),
+        S("INSERT INTO lv (id, v) VALUES (1, 10), (2, 20), (3, 30)"),
+        S("SELECT id FROM lv WHERE v = 20", kind="select"),
+        S("SELECT id FROM lv WHERE v > 15 ORDER BY id ASC", kind="select", ordered=True),
+        S("INSERT INTO lv (id, v) VALUES (4, 40)"),
+        S("SELECT COUNT(*) FROM lv", kind="select"),
+        S("CREATE TABLE lv2 (id INT)", kind="ddl"),
+    ]
+
+
+def test_forgotten_onion_levels_fail_and_minimize(
+    tmp_path, paillier_keypair, repro_seed, monkeypatch
+):
+    from repro.durability.catalog import CatalogState
+
+    apply_meta = CatalogState.apply_meta
+
+    def forget_levels(self, meta):
+        apply_meta(self, {key: value for key, value in meta.items() if key != "levels"})
+
+    monkeypatch.setattr(CatalogState, "apply_meta", forget_levels)
+    runner = RecoveryRunner(
+        tmp_path,
+        "wal.append",
+        at_hit=6,
+        seed=repro_seed,
+        master_key=MASTER_KEY,
+        paillier=paillier_keypair,
+    )
+    stream = _levels_only_in_metadata()
+    report = runner.run(stream)
+    assert report.crashed and report.crash_index == len(stream) - 1
+    assert not report.ok
+    assert report.divergence is None
+    assert "onion levels diverged after recovery" in report.describe()
+
+    shrunk = runner.run_with_shrinking(stream, max_probes=40)
+    assert not shrunk.ok
+    assert shrunk.minimized is not None
+    assert len(shrunk.minimized) < len(stream)
+    assert f"--repro-seed={repro_seed}" in shrunk.describe()
