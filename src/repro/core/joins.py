@@ -109,41 +109,13 @@ class JoinManager:
         self.adjustments_performed += len(adjustments)
         return adjustments
 
-    # -- transaction support ----------------------------------------------------
     def snapshot(self) -> tuple[dict, dict]:
-        """Capture the effective scalars and group structure for later restore."""
+        """The effective scalars and the raw group structure, as copies."""
         return dict(self._scalars), dict(self._group_base)
 
-    def restore(self, snapshot: tuple[dict, dict]) -> bool:
-        """Rewind join keys to a snapshot (after a transaction rollback).
-
-        Server-side JOIN-ADJ re-key UPDATEs issued inside a rolled-back
-        transaction are reverted with it, so the manager's view of each
-        column's effective key must rewind too.  Columns registered since the
-        snapshot (CREATE TABLE inside the transaction) fall back to their
-        initial, un-adjusted keys.  Returns True when anything changed.
-        """
-        scalars, group_base = snapshot
-        changed = False
-        for column_id in self._scalars:
-            if column_id in scalars:
-                target_scalar = scalars[column_id]
-                target_base = group_base[column_id]
-            else:
-                target_scalar = self._initial_scalars[column_id]
-                target_base = column_id
-            if (
-                self._scalars[column_id] != target_scalar
-                or self._group_base[column_id] != target_base
-            ):
-                self._scalars[column_id] = target_scalar
-                self._group_base[column_id] = target_base
-                changed = True
-        return changed
-
-    # -- durable catalog support -------------------------------------------------
+    # -- restore -----------------------------------------------------------------
     def restore_group(self, column_id: ColumnId, base: ColumnId) -> None:
-        """Recovery: re-attach a column to its logged transitivity-group base.
+        """Re-attach a column to a transitivity-group base (restart, rewinds).
 
         The durable catalog stores only the public (column -> base)
         structure, never scalars.  A member's effective scalar is always its

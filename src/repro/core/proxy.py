@@ -10,7 +10,6 @@ CryptDB's UDFs (Figure 1).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -35,9 +34,8 @@ from repro.core.training import TrainingReport, build_report
 from repro.crypto import paillier as paillier_scheme
 from repro.crypto.keys import KeyManager, MasterKey
 from repro.crypto.paillier import PaillierKeyPair
-from repro.durability import CatalogState, MetadataCatalog, tag_value, untag_value
+from repro.durability import CatalogState, MetadataCatalog, recovery
 from repro.errors import (
-    CatalogError,
     ProxyError,
     ReproError,
     SimulatedCrash,
@@ -221,7 +219,8 @@ class CryptDBProxy:
             self.paillier.refill_hook = self._hom_refill_hook
         self.stats = ProxyStatistics(cache=self.cache, pool=self.pool)
         self.plan_cache = PlanCache(plan_cache_size)
-        self._onion_snapshot: Optional[tuple] = None
+        #: The metadata image taken at BEGIN, which ROLLBACK rewinds to.
+        self._begin_image: Optional[CatalogState] = None
         self._computation_log: dict[tuple[str, str], set] = {}
         self._unsupported_log: list[str] = []
         self._training = False
@@ -237,7 +236,7 @@ class CryptDBProxy:
         #: transaction: COMMIT logs their commit records, ROLLBACK aborts.
         self._txn_pending_intents: list[int] = []
         if catalog is not None:
-            self._attach_catalog(catalog)
+            recovery.attach(self, catalog)
 
     # ------------------------------------------------------------------
     # parallel crypto lifecycle
@@ -337,23 +336,14 @@ class CryptDBProxy:
             # Write-ahead: the record must be durable before the backend DDL
             # runs, so a crash between the two leaves a catalog that knows
             # the table and a recovery that completes the missing DDL.
-            record = self.schema.describe_table(statement.table)
-            record["t"] = "create_table"
-            record["version"] = self.schema.version
-            self.catalog.append(record, sync=True)
-        anon_columns = self._anonymized_columns(statement)
-        self.db.execute(ast.CreateTable(table_meta.anon_name, anon_columns, statement.if_not_exists))
+            recovery.log_create_table(self, statement.table)
+        self.db.execute(self._anonymized_ddl(statement.table, statement.if_not_exists))
         if getattr(self.db, "is_sharded", False):
-            rewind = (self.schema.snapshot_levels(), self.joins.snapshot(), self.schema.version)
-            declared = self._declare_shard_key(statement.table)
-            if self.catalog is not None:
-                meta = self._catalog_meta_diff(rewind) or {}
-                if declared is not None:
-                    meta["routing"] = [list(declared)]
-                if meta:
-                    self.catalog.append(dict(meta, t="meta"), sync=True)
+            before = recovery.capture(self)
+            self._declare_shard_key(statement.table)
+            recovery.log_changes(self, before)
 
-    def _declare_shard_key(self, table: str) -> Optional[tuple[str, str, str]]:
+    def _declare_shard_key(self, table: str) -> None:
         """Tell a sharded backend which anonymised column routes inserts.
 
         The shard key's routing onion is peeled ahead of time -- DET for
@@ -374,30 +364,26 @@ class CryptDBProxy:
         mode = getattr(self.db, "mode", "det-hash")
         if column.plaintext:
             self.db.declare_routing(table_meta.anon_name, column.name, mode=mode)
-            return (table_meta.anon_name, column.name, mode)
-        if mode == "ope-range" and column.has_onion(Onion.ORD):
+        elif mode == "ope-range" and column.has_onion(Onion.ORD):
             self.schema.lower_onion(table, key, Onion.ORD, EncryptionScheme.OPE)
             anon = column.onion_state(Onion.ORD).anon_name
             self.db.declare_routing(table_meta.anon_name, anon, mode="ope-range")
-            return (table_meta.anon_name, anon, "ope-range")
-        if column.has_onion(Onion.EQ):
+        elif column.has_onion(Onion.EQ):
             self.schema.lower_onion(table, key, Onion.EQ, EncryptionScheme.DET)
             anon = column.onion_state(Onion.EQ).anon_name
             self.db.declare_routing(table_meta.anon_name, anon, mode="det-hash")
-            return (table_meta.anon_name, anon, "det-hash")
-        # No usable onion: the table stays undeclared and all rows pin to
-        # shard 0 -- correct, just not distributed.
-        return None
+        # Otherwise no usable onion: the table stays undeclared and all rows
+        # pin to shard 0 -- correct, just not distributed.
 
-    def _anonymized_columns(self, statement: ast.CreateTable):
+    def _anonymized_ddl(self, table: str, if_not_exists: bool = False) -> ast.CreateTable:
+        """The CREATE TABLE the DBMS sees for a registered table."""
         from repro.sql.types import BIGINT, BLOB, ColumnDef
 
-        table_meta = self.schema.table(statement.table)
+        table_meta = self.schema.table(table)
         anon_columns: list[ColumnDef] = []
-        for column_def in statement.columns:
-            column = table_meta.column(column_def.name)
+        for column in table_meta.columns.values():
             if column.plaintext:
-                anon_columns.append(ColumnDef(column_def.name, column_def.data_type))
+                anon_columns.append(ColumnDef(column.name, column.data_type))
                 continue
             for onion, state in column.onions.items():
                 if onion in (Onion.EQ, Onion.SEARCH):
@@ -409,7 +395,7 @@ class CryptDBProxy:
         for group in table_meta.hom_groups:
             # One shared packed-Add ciphertext column per group (§8.4).
             anon_columns.append(ColumnDef(group.anon_name, BLOB()))
-        return anon_columns
+        return ast.CreateTable(table_meta.anon_name, anon_columns, if_not_exists)
 
     def create_index(self, table: str, column: str) -> None:
         """Create indexes over the column's DET/JOIN and OPE onions (§3.3)."""
@@ -429,13 +415,10 @@ class CryptDBProxy:
         All declared columns share one OPE key; must be called before data is
         inserted into those columns.
         """
+        before = recovery.capture(self)
         for table, column in columns:
             self.schema.column(table, column).ope_join_group = group
-        if self.catalog is not None:
-            self.catalog.append(
-                {"t": "meta", "ope_groups": [[t, c, group] for t, c in columns]},
-                sync=True,
-            )
+        recovery.log_changes(self, before)
 
     # ------------------------------------------------------------------
     # query execution
@@ -597,7 +580,7 @@ class CryptDBProxy:
         # schema would claim levels the stored ciphertexts never reached --
         # and every subsequent range query would silently compare garbage
         # (found by the differential conformance harness).
-        rewind = (self.schema.snapshot_levels(), self.joins.snapshot(), self.schema.version)
+        before = recovery.capture(self)
         try:
             plan = self.rewriter.rewrite(statement)
             if not plan.passthrough:
@@ -609,13 +592,11 @@ class CryptDBProxy:
                         "a ? placeholder appears in a position that cannot be bound "
                         "over encrypted data"
                     )
-        except UnsupportedQueryError as exc:
-            self._restore_onion_state(rewind)
-            self.stats.unsupported_queries += 1
-            self._unsupported_log.append(str(exc))
-            raise
-        except Exception:
-            self._restore_onion_state(rewind)
+        except Exception as exc:
+            recovery.rewind(self, before, keep_version=True)
+            if isinstance(exc, UnsupportedQueryError):
+                self.stats.unsupported_queries += 1
+                self._unsupported_log.append(str(exc))
             raise
         self.stats.queries_rewritten += 1
         self.stats.onion_adjustments = self.rewriter.onion_adjustments
@@ -627,7 +608,9 @@ class CryptDBProxy:
         # Any metadata the rewrite mutated (onion lowers, JOIN re-keys, HOM
         # staleness, version bumps) as one state-setting catalog diff.
         meta_diff = (
-            self._catalog_meta_diff(rewind) if self.catalog is not None else None
+            recovery.meta_diff(before, recovery.capture(self))
+            if self.catalog is not None
+            else None
         )
 
         # Onion adjustments run inside a transaction so concurrent readers
@@ -648,11 +631,7 @@ class CryptDBProxy:
             own_transaction = not self.db.transactions.in_transaction
             intent_id: Optional[int] = None
             if self.catalog is not None:
-                intent_id = self.catalog.begin_adjustment(
-                    [list(op) for op in plan.adjustment_meta],
-                    meta_diff or {},
-                    self._sample_canary(plan.adjustment_meta),
-                )
+                intent_id = recovery.log_intent(self, plan.adjustments, meta_diff)
                 if not own_transaction:
                     # Inside an application transaction the intent's fate is
                     # the transaction's: COMMIT/ROLLBACK logs its resolution.
@@ -662,8 +641,8 @@ class CryptDBProxy:
             try:
                 if own_transaction:
                     self.db.execute(ast.Begin())
-                for adjustment in plan.adjustments:
-                    self.db.execute(adjustment)
+                for op in plan.adjustments:
+                    self.db.execute(self.rewriter.adjustment_update(op))
                 if faults.INJECTOR is not None and intent_id is not None:
                     faults.INJECTOR.fire("adjust.applied", target=self, intent=intent_id)
                 if own_transaction:
@@ -677,7 +656,7 @@ class CryptDBProxy:
             except Exception:
                 if own_transaction:
                     self.db.execute(ast.Rollback())
-                    self._restore_onion_state(rewind)
+                    recovery.rewind(self, before, keep_version=True)
                     if intent_id is not None:
                         self.catalog.abort_adjustment(intent_id)
                 else:
@@ -693,14 +672,13 @@ class CryptDBProxy:
             if intent_id is not None and own_transaction:
                 self.catalog.commit_adjustment(intent_id)
             plan.adjustments = []
-            plan.adjustment_meta = []
             self.stats.server_time_seconds += time.perf_counter() - adjust_start
         elif meta_diff:
             # Metadata-only mutations (OPE -> OPE-JOIN policy changes, HOM
             # staleness marks, plan-version bumps) have no backend write to
             # anchor a two-phase protocol to; one synced meta record is
             # enough because replaying it is a pure state assignment.
-            self.catalog.append(dict(meta_diff, t="meta"), sync=True)
+            recovery.log_meta(self, meta_diff)
 
         prepared = PreparedStatement(
             statement, plan, param_count, self.schema.version, kind, sql_key=cache_key
@@ -831,46 +809,19 @@ class CryptDBProxy:
                     )
                 )
 
-    def _restore_onion_state(self, snapshot: tuple) -> None:
-        """Rewind onion levels, JOIN-ADJ key state and the schema version.
-
-        Used when a prepare fails before its effects became visible: the
-        restored state is identical to what every cached plan was built
-        against, so the version counter rewinds too (lower_onion bumped it
-        mid-rewrite) and the plan cache survives -- nothing can have been
-        cached during the failed prepare.  If the JOIN-ADJ keys really
-        moved, stay conservative and invalidate.
-        """
-        levels, join_state, version = snapshot
-        self.schema.restore_levels(levels, bump_version=False)
-        self.schema.version = version
-        if self.joins.restore(join_state):
-            # Cached plans with baked JOIN-ADJ constants are stale, and so
-            # are memoised Eq encryptions (same contract as ROLLBACK).
-            self.schema.bump_version()
-            self.cache.invalidate_eq()
-
     def _execute_transaction_control(self, statement: ast.Statement) -> ResultSet:
         """BEGIN/COMMIT/ROLLBACK, keeping onion metadata transactional too.
 
         Onion-adjustment UPDATEs issued while an application transaction is
-        open are rolled back with it, so the proxy snapshots every onion
-        level at BEGIN and rewinds its schema metadata (invalidating cached
-        plans) when the transaction aborts.
+        open are rolled back with it, so the proxy captures its metadata
+        image at BEGIN and rewinds to it (invalidating cached plans) when the
+        transaction aborts.
         """
         if isinstance(statement, ast.Begin) and not self.db.transactions.in_transaction:
-            self._onion_snapshot = (
-                self.schema.snapshot_levels(),
-                self.joins.snapshot(),
-            )
-        pre_rollback = (
-            (self.schema.snapshot_levels(), self.joins.snapshot(), self.schema.version)
-            if isinstance(statement, ast.Rollback) and self.catalog is not None
-            else None
-        )
+            self._begin_image = recovery.capture(self)
         result = self.db.execute(statement)
         if isinstance(statement, ast.Commit):
-            self._onion_snapshot = None
+            self._begin_image = None
             if self.catalog is not None:
                 # The backend made the adjustments durable with this COMMIT;
                 # resolve every intent that rode the transaction.
@@ -878,30 +829,30 @@ class CryptDBProxy:
                     self.catalog.commit_adjustment(intent_id)
             self._txn_pending_intents = []
         elif isinstance(statement, ast.Rollback):
-            if self._onion_snapshot is not None:
-                levels, join_state = self._onion_snapshot
-                self.schema.restore_levels(levels)
-                if self.joins.restore(join_state):
-                    # Cached plans with baked JOIN-ADJ constants are stale,
-                    # and so are memoised Eq encryptions.
-                    self.schema.bump_version()
-                    self.cache.invalidate_eq()
-            self._onion_snapshot = None
+            image, self._begin_image = self._begin_image, None
+            before = (
+                recovery.rewind(self, image, keep_version=False) if image is not None else None
+            )
             if self.catalog is not None:
                 for intent_id in self._txn_pending_intents:
                     self.catalog.abort_adjustment(intent_id)
-                self._txn_pending_intents = []
+            self._txn_pending_intents = []
+            if before is not None:
                 # Metadata-only records logged inside the transaction are
                 # already durable; one corrective diff rewinds the replayed
-                # state to the BEGIN snapshot the proxy just restored to.
-                correction = self._catalog_meta_diff(pre_rollback)
-                if correction:
-                    self.catalog.append(dict(correction, t="meta"), sync=True)
-            self._txn_pending_intents = []
+                # state to the BEGIN image the proxy just restored to.
+                recovery.log_changes(self, before)
         return result
 
     def _execute_ddl(self, statement: ast.Statement) -> ResultSet:
-        """CREATE/DROP statements the proxy handles outside the rewriter."""
+        """CREATE/DROP statements the proxy handles outside the rewriter.
+
+        Refused inside an open application transaction: MySQL commits DDL
+        implicitly and SQLite rolls it back, so no caller can rely on it, and
+        the proxy's schema, catalog and backend would disagree after either.
+        """
+        if self.db.transactions.in_transaction:
+            raise UnsupportedQueryError("DDL inside an open transaction is not supported")
         if isinstance(statement, ast.CreateTable):
             self.create_table(statement)
             return ResultSet([], [], 0)
@@ -916,319 +867,10 @@ class CryptDBProxy:
                     # Write-ahead: with the record durable first, a crash
                     # before the backend drop leaves an orphaned anonymised
                     # table that recovery removes.
-                    self.catalog.append(
-                        {
-                            "t": "drop_table",
-                            "table": statement.table,
-                            "anon": meta.anon_name,
-                            "version": self.schema.version,
-                        },
-                        sync=True,
-                    )
+                    recovery.log_drop_table(self, statement.table, meta.anon_name)
                 return self.db.execute(ast.DropTable(meta.anon_name, statement.if_exists))
             return self.db.execute(statement)
         raise ProxyError(f"unexpected DDL statement {type(statement).__name__}")
-
-    # ------------------------------------------------------------------
-    # durable metadata catalog: write-through, recovery, compaction
-    # ------------------------------------------------------------------
-    def _attach_catalog(self, catalog: Union[str, os.PathLike, MetadataCatalog]) -> None:
-        if not isinstance(catalog, MetadataCatalog):
-            catalog = MetadataCatalog(os.fspath(catalog))
-        self.catalog = catalog
-        if catalog.has_history:
-            self._recover_from_catalog(catalog)
-        # Installed after recovery so no compaction can fire mid-rebuild.
-        catalog.snapshot_source = self._snapshot_record
-
-    def _catalog_meta_diff(self, rewind: tuple) -> Optional[dict]:
-        """The state-setting ``meta`` payload for changes since ``rewind``.
-
-        ``rewind`` is the (levels, joins, version) triple `_prepare_statement`
-        snapshots before rewriting.  Only deltas are logged -- onion levels
-        that moved, HOM columns whose staleness flipped, JOIN-ADJ columns
-        whose group base changed -- so steady-state DML appends nothing.
-        """
-        old_levels, (_, old_bases), old_version = rewind
-        meta: dict = {}
-        levels: list[list] = []
-        hom_stale: list[list] = []
-        for (table, column), (onions, stale) in self.schema.snapshot_levels().items():
-            old = old_levels.get((table, column))
-            for onion, level in onions.items():
-                if old is None or old[0].get(onion) is not level:
-                    levels.append([table, column, onion.value, level.value])
-            if stale != (old[1] if old is not None else False):
-                hom_stale.append([table, column, stale])
-        bases: list[list] = []
-        for column_id, base in self.joins.snapshot()[1].items():
-            if old_bases.get(column_id, column_id) != base:
-                bases.append([column_id[0], column_id[1], base[0], base[1]])
-        if levels:
-            meta["levels"] = levels
-        if hom_stale:
-            meta["hom_stale"] = hom_stale
-        if bases:
-            meta["joins"] = {"bases": bases}
-        if self.schema.version != old_version:
-            meta["version"] = self.schema.version
-        return meta or None
-
-    def _sample_canary(self, ops: list) -> Optional[dict]:
-        """One stored ciphertext plus its expected post-adjustment value.
-
-        Recovery probes the pair to decide whether an in-doubt adjustment's
-        UPDATEs reached the backend: the pre-value still stored means they
-        did not, the post-value means they committed.  The expected value is
-        computed with the same UDF implementations the server runs, under
-        keys re-derived from the master key.  Returns None when every
-        adjusted column stores only NULLs -- re-running the strips is then a
-        no-op either way, because the UDFs pass NULL through.
-        """
-        targets: list[tuple] = []
-        for op in ops:
-            target = (op[1], op[2], Onion(op[3]) if op[0] == "strip" else Onion.EQ)
-            if target not in targets:
-                targets.append(target)
-        for table, column_name, onion in targets:
-            column = self.schema.column(table, column_name)
-            state = column.onion_state(onion)
-            anon_table = self.schema.table(table).anon_name
-            sample = ast.Select(
-                items=[
-                    ast.SelectItem(ast.ColumnRef(state.anon_name), None),
-                    ast.SelectItem(ast.ColumnRef(column.iv_column), None),
-                ],
-                from_clause=ast.TableRef(anon_table, None),
-                limit=16,
-            )
-            for row in self.db.execute(sample).rows:
-                if row[0] is None:
-                    continue
-                post = self._canary_post_value(row[0], row[1], column, onion, ops)
-                return {
-                    "anon_table": anon_table,
-                    "anon_column": state.anon_name,
-                    "pre": tag_value(row[0]),
-                    "post": tag_value(post),
-                }
-        return None
-
-    def _canary_post_value(
-        self, value: Any, iv: Any, column: Any, onion: Onion, ops: list
-    ) -> Any:
-        """Apply the ops targeting one column, exactly as the server would."""
-        for op in ops:
-            if (op[1], op[2]) != (column.table, column.name):
-                continue
-            if op[0] == "strip" and Onion(op[3]) is onion:
-                layer = EncryptionScheme(op[4])
-                key = self.encryptor.layer_key(column, onion, layer)
-                if layer is EncryptionScheme.RND:
-                    if onion is Onion.EQ:
-                        value = udfs._decrypt_rnd_eq(key, value, iv)
-                    else:
-                        value = udfs._decrypt_rnd_ord(key, value, iv)
-                elif layer is EncryptionScheme.DET:
-                    value = udfs._decrypt_det_eq(key, value)
-            elif op[0] == "join" and onion is Onion.EQ:
-                value = udfs._join_adjust(value, int(op[3]).to_bytes(32, "big"))
-        return value
-
-    def _canary_present(self, anon_table: str, anon_column: str, value: Any) -> bool:
-        probe = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(anon_column), None)],
-            from_clause=ast.TableRef(anon_table, None),
-            where=ast.BinaryOp("=", ast.ColumnRef(anon_column), ast.Literal(value)),
-        )
-        return bool(self.db.execute(probe).rows)
-
-    def _recover_from_catalog(self, catalog: MetadataCatalog) -> None:
-        """Rebuild proxy metadata from snapshot+WAL, reconcile the backend.
-
-        Column keys are never logged; they re-derive from the master key as
-        each table restores, after which the recorded onion levels, JOIN-ADJ
-        group structure, OPE join groups, shard routing and schema version
-        overlay the freshly-built defaults.  The backend is then reconciled
-        with the log: DDL that was recorded but never executed is completed,
-        anonymised tables orphaned by an interrupted DROP are removed, and
-        every in-doubt adjustment intent is resolved by probing its canary
-        ciphertext -- completing exactly the work whose commit record the
-        crash swallowed, never re-stripping already-stripped rows.
-        """
-        from repro.sql.types import ColumnDef, DataType
-
-        state = catalog.state
-        sharded = getattr(self.db, "is_sharded", False)
-        backend_tables = set(self.db.table_names())
-        for payload in state.tables:
-            meta = self.schema.restore_table(payload)
-            for column in meta.columns.values():
-                if not column.plaintext:
-                    self.joins.register_column(column.table, column.name)
-            columns = [
-                ColumnDef(name, DataType(type_name, length))
-                for name, type_name, length in payload["columns"]
-            ]
-            anon_ddl = ast.CreateTable(
-                meta.anon_name,
-                self._anonymized_columns(ast.CreateTable(meta.name, columns)),
-            )
-            if sharded:
-                # Re-register the anonymised layout for scratch-replay plans.
-                self.db.adopt_ddl(anon_ddl)
-            if meta.anon_name not in backend_tables:
-                # create_table record synced, crash hit before the DDL ran.
-                self.db.execute(anon_ddl)
-        live_anon = {payload["anon"] for payload in state.tables}
-        for orphan in sorted(backend_tables - live_anon):
-            # drop_table record synced, crash hit before the backend drop.
-            self.db.execute(ast.DropTable(orphan, if_exists=True))
-        for (table, column_name, onion), level in state.levels.items():
-            column = self._recovered_column(table, column_name)
-            if column is None:
-                continue
-            onion_state = column.onions.get(Onion(onion))
-            if onion_state is not None:
-                onion_state.level = EncryptionScheme(level)
-        for (table, column_name), stale in state.hom_stale.items():
-            column = self._recovered_column(table, column_name)
-            if column is not None:
-                column.hom_stale_others = bool(stale)
-        for (table, column_name), group in state.ope_groups.items():
-            column = self._recovered_column(table, column_name)
-            if column is not None:
-                column.ope_join_group = group
-        for column_id, base in state.join_bases.items():
-            self.joins.restore_group(tuple(column_id), tuple(base))
-        if sharded:
-            for anon_table, (anon_column, mode) in state.routing.items():
-                self.db.declare_routing(anon_table, anon_column, mode=mode)
-        # Restored last: every cached-plan consumer keys on this counter, so
-        # prepared-statement semantics survive the restart unchanged.
-        self.schema.version = state.version
-        for intent_id in sorted(state.in_doubt):
-            self._resolve_in_doubt(state.in_doubt[intent_id])
-            catalog.commit_adjustment(intent_id)
-
-    def _recovered_column(self, table: str, column: str) -> Optional[Any]:
-        table_meta = self.schema.tables.get(table)
-        if table_meta is None:
-            return None
-        return table_meta.columns.get(column)
-
-    def _resolve_in_doubt(self, intent: dict) -> None:
-        """Verify-and-complete one logged adjustment intent (idempotently).
-
-        The canary distinguishes "the UPDATEs never committed" (its
-        pre-value is still stored) from "they committed but the crash beat
-        the commit record" (its post-value is stored).  No canary means the
-        adjusted columns held only NULLs, so re-running is safe either way.
-        """
-        rerun = True
-        canary = intent.get("canary")
-        if canary:
-            anon_table, anon_column = canary["anon_table"], canary["anon_column"]
-            if self._canary_present(anon_table, anon_column, untag_value(canary["pre"])):
-                rerun = True
-            elif self._canary_present(anon_table, anon_column, untag_value(canary["post"])):
-                rerun = False
-            else:
-                raise CatalogError(
-                    "in-doubt adjustment canary matches neither its pre- nor "
-                    "post-adjustment value: the backend does not correspond "
-                    "to this catalog"
-                )
-        if rerun:
-            updates = [
-                update
-                for op in intent["ops"]
-                if (update := self._rebuild_adjustment(op)) is not None
-            ]
-            try:
-                self.db.execute(ast.Begin())
-                for update in updates:
-                    self.db.execute(update)
-                self.db.execute(ast.Commit())
-            except Exception:
-                self.db.execute(ast.Rollback())
-                raise
-        self._apply_meta_payload(intent.get("meta") or {})
-
-    def _rebuild_adjustment(self, op: list) -> Optional[ast.Statement]:
-        """Re-derive the server UPDATE for one logged adjustment op."""
-        if op[0] == "strip":
-            _, table, column_name, onion_value, layer_value = op
-            column = self.schema.column(table, column_name)
-            return self.rewriter._adjustment_update(
-                column, Onion(onion_value), EncryptionScheme(layer_value)
-            )
-        if op[0] == "join":
-            _, table, column_name, delta = op
-            column = self.schema.column(table, column_name)
-            eq_state = column.onion_state(Onion.EQ)
-            call = ast.FunctionCall(
-                udfs.JOIN_ADJUST,
-                [
-                    ast.ColumnRef(eq_state.anon_name),
-                    ast.Literal(int(delta).to_bytes(32, "big")),
-                ],
-            )
-            return ast.Update(
-                self.schema.table(table).anon_name,
-                [(eq_state.anon_name, call)],
-                None,
-            )
-        raise CatalogError(f"unknown adjustment op {op[0]!r}")
-
-    def _apply_meta_payload(self, meta: dict) -> None:
-        """Fold a logged ``meta`` payload into live schema/join state."""
-        for table, column_name, onion, level in meta.get("levels", ()):
-            column = self._recovered_column(table, column_name)
-            if column is None:
-                continue
-            onion_state = column.onions.get(Onion(onion))
-            if onion_state is not None:
-                onion_state.level = EncryptionScheme(level)
-        for table, column_name, stale in meta.get("hom_stale", ()):
-            column = self._recovered_column(table, column_name)
-            if column is not None:
-                column.hom_stale_others = bool(stale)
-        for table, column_name, group in meta.get("ope_groups", ()):
-            column = self._recovered_column(table, column_name)
-            if column is not None:
-                column.ope_join_group = group
-        for table, column_name, base_table, base_column in (
-            meta.get("joins") or {}
-        ).get("bases", ()):
-            self.joins.restore_group((table, column_name), (base_table, base_column))
-        if "version" in meta:
-            self.schema.version = int(meta["version"])
-
-    def _snapshot_record(self) -> dict:
-        """Full current metadata as one ``snapshot`` record (compaction)."""
-        state = CatalogState()
-        state.tables = [
-            self.schema.describe_table(name) for name in self.schema.table_names()
-        ]
-        state.table_counter = self.schema._table_counter
-        state.version = self.schema.version
-        for table, column, onion, level in self.schema.catalog_levels():
-            state.levels[(table, column, onion)] = level
-        for table_name, table_meta in self.schema.tables.items():
-            for column_name, column in table_meta.columns.items():
-                if column.hom_stale_others:
-                    state.hom_stale[(table_name, column_name)] = True
-                if column.ope_join_group is not None:
-                    state.ope_groups[(table_name, column_name)] = column.ope_join_group
-        for column_id, base in self.joins.snapshot()[1].items():
-            if base != column_id:
-                state.join_bases[column_id] = base
-        if getattr(self.db, "is_sharded", False):
-            state.routing = dict(self.db.routing_catalog())
-        if self.catalog is not None:
-            state.resolved = set(self.catalog.state.resolved)
-        return state.snapshot_payload()
 
     # ------------------------------------------------------------------
     # training mode (§3.5.1) and reporting

@@ -3,8 +3,9 @@
 For every incoming statement the rewriter:
 
 1. determines the computation classes each referenced column requires;
-2. produces the onion-adjustment UPDATE statements (server-side UDF calls)
-   needed to bring columns to the required layers;
+2. lists the onion adjustments (layer strips, JOIN-ADJ re-keys) needed to
+   bring columns to the required layers; :meth:`Rewriter.adjustment_update`
+   turns each into its server-side UDF UPDATE;
 3. rewrites the statement itself: table and column names are replaced by
    their anonymised counterparts, constants by onion encryptions, LIKE by
    SEARCH-token UDF calls, SUM by the Paillier UDF aggregate, and equi-joins
@@ -96,14 +97,13 @@ class RewritePlan:
     """Everything the proxy needs to execute one application statement."""
 
     statement: Optional[ast.Statement]
-    adjustments: list[ast.Statement] = field(default_factory=list)
-    #: Structured twins of ``adjustments``, 1:1 and in the same order, for
-    #: the durable catalog's two-phase INTENT records: ``("strip", table,
-    #: column, onion-value, layer-value)`` or ``("join", table, column,
-    #: delta-int)``.  Recovery rebuilds the server UPDATEs from these (the
-    #: key material re-derives from the master key; the delta is the same
-    #: public value the server already saw).
-    adjustment_meta: list[tuple] = field(default_factory=list)
+    #: Onion adjustments to run before the statement, as ops:
+    #: ``("strip", table, column, onion-value, layer-value)`` or ``("join",
+    #: table, column, delta-int)``.  :meth:`Rewriter.adjustment_update`
+    #: turns one into its server UPDATE; the durable catalog logs them as
+    #: they are (keys re-derive from the master key, and the delta is the
+    #: public value the server sees anyway).
+    adjustments: list[tuple] = field(default_factory=list)
     output: list[OutputSpec] = field(default_factory=list)
     computations: dict[tuple[str, str], set[ComputationClass]] = field(default_factory=dict)
     proxy_order: list[tuple[int, bool]] = field(default_factory=list)
@@ -244,13 +244,14 @@ class Rewriter:
             )
         removed = self.schema.lower_onion(column.table, column.name, onion, needed)
         for layer in removed:
-            update = self._adjustment_update(column, onion, layer)
-            if update is not None:
-                plan.adjustments.append(update)
-                plan.adjustment_meta.append(
-                    ("strip", column.table, column.name, onion.value, layer.value)
-                )
-                self.onion_adjustments += 1
+            if layer is EncryptionScheme.OPE:
+                # OPE -> OPE-JOIN is a key-sharing policy change, not a
+                # physical layer: nothing to strip at the server.
+                continue
+            plan.adjustments.append(
+                ("strip", column.table, column.name, onion.value, layer.value)
+            )
+            self.onion_adjustments += 1
         return onion, needed
 
     @staticmethod
@@ -273,29 +274,34 @@ class Rewriter:
                 "answered from pre-increment ciphertexts (re-encrypt to refresh)"
             )
 
-    def _adjustment_update(
-        self, column: ColumnMeta, onion: Onion, removed_layer: EncryptionScheme
-    ) -> Optional[ast.Statement]:
-        """The UPDATE ... SET col = UDF(...) statement stripping one layer."""
-        table_meta = self.schema.table(column.table)
-        state = column.onion_state(onion)
-        anon_col = ast.ColumnRef(state.anon_name)
-        if removed_layer is EncryptionScheme.RND:
-            key = self.encryptor.layer_key(column, onion, EncryptionScheme.RND)
-            udf_name = udfs.DECRYPT_RND_EQ if onion is Onion.EQ else udfs.DECRYPT_RND_ORD
+    def adjustment_update(self, op: tuple) -> ast.Update:
+        """The server UPDATE ... SET col = UDF(...) for one adjustment op."""
+        kind, table, column_name = op[:3]
+        column = self.schema.column(table, column_name)
+        if kind == "join":
+            state = column.onion_state(Onion.EQ)
             call = ast.FunctionCall(
-                udf_name,
-                [ast.Literal(key), anon_col, ast.ColumnRef(column.iv_column)],
+                udfs.JOIN_ADJUST,
+                [ast.ColumnRef(state.anon_name), ast.Literal(int(op[3]).to_bytes(32, "big"))],
             )
-        elif removed_layer is EncryptionScheme.DET:
-            key = self.encryptor.layer_key(column, onion, EncryptionScheme.DET)
-            call = ast.FunctionCall(udfs.DECRYPT_DET_EQ, [ast.Literal(key), anon_col])
-        elif removed_layer is EncryptionScheme.OPE:
-            # OPE -> OPE-JOIN is a key-sharing policy change, not a physical layer.
-            return None
+        elif kind == "strip":
+            onion, layer = Onion(op[3]), EncryptionScheme(op[4])
+            state = column.onion_state(onion)
+            anon_col = ast.ColumnRef(state.anon_name)
+            key = self.encryptor.layer_key(column, onion, layer)
+            if layer is EncryptionScheme.RND:
+                udf_name = udfs.DECRYPT_RND_EQ if onion is Onion.EQ else udfs.DECRYPT_RND_ORD
+                call = ast.FunctionCall(
+                    udf_name,
+                    [ast.Literal(key), anon_col, ast.ColumnRef(column.iv_column)],
+                )
+            elif layer is EncryptionScheme.DET:
+                call = ast.FunctionCall(udfs.DECRYPT_DET_EQ, [ast.Literal(key), anon_col])
+            else:
+                raise ProxyError(f"cannot strip layer {layer.value}")
         else:
-            raise ProxyError(f"cannot strip layer {removed_layer.value}")
-        return ast.Update(table_meta.anon_name, [(state.anon_name, call)], None)
+            raise ProxyError(f"unknown adjustment op {kind!r}")
+        return ast.Update(self.schema.table(table).anon_name, [(state.anon_name, call)], None)
 
     def _require_join(
         self, plan: RewritePlan, left: ColumnMeta, right: ColumnMeta
@@ -307,21 +313,10 @@ class Rewriter:
             (left.table, left.name), (right.table, right.name)
         )
         for adjustment in adjustments:
-            column = self.schema.column(adjustment.table, adjustment.column)
-            table_meta = self.schema.table(adjustment.table)
-            state = column.onion_state(Onion.EQ)
             # The re-keying changes the JOIN-ADJ component of every stored
             # Eq ciphertext, so memoised encryptions for the column are stale.
             self.encryptor.cache.invalidate_eq(adjustment.table, adjustment.column)
-            delta_bytes = adjustment.delta.to_bytes(32, "big")
-            call = ast.FunctionCall(
-                udfs.JOIN_ADJUST,
-                [ast.ColumnRef(state.anon_name), ast.Literal(delta_bytes)],
-            )
             plan.adjustments.append(
-                ast.Update(table_meta.anon_name, [(state.anon_name, call)], None)
-            )
-            plan.adjustment_meta.append(
                 ("join", adjustment.table, adjustment.column, adjustment.delta)
             )
             self.onion_adjustments += 1

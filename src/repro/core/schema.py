@@ -320,51 +320,6 @@ class ProxySchema:
     def table_names(self) -> list[str]:
         return list(self.tables)
 
-    # -- onion state snapshots (transaction support) ---------------------------
-    def snapshot_levels(self) -> dict:
-        """Capture every onion level (and HOM staleness) for later restore.
-
-        Onion-adjustment UPDATEs issued inside an application transaction are
-        rolled back with it, so the proxy must be able to rewind its metadata
-        to match the server's ciphertexts.
-        """
-        levels = {}
-        for table_name, table in self.tables.items():
-            for column_name, column in table.columns.items():
-                key = (table_name, column_name)
-                levels[key] = (
-                    {onion: state.level for onion, state in column.onions.items()},
-                    column.hom_stale_others,
-                )
-        return levels
-
-    def restore_levels(self, snapshot: dict, bump_version: bool = True) -> None:
-        """Rewind onion levels to a snapshot (after a transaction rollback).
-
-        ``bump_version=False`` skips the plan-cache invalidation: a failed
-        *rewrite* rewinds to exactly the state every cached plan was built
-        against (no server data changed, no adjustment ran), so flushing
-        the cache would only cost re-rewrites.  Transaction rollbacks keep
-        the default -- there the server data really did rewind, and plans
-        cached inside the transaction are stale.
-        """
-        changed = False
-        for (table_name, column_name), (levels, hom_stale) in snapshot.items():
-            table = self.tables.get(table_name)
-            if table is None or column_name not in table.columns:
-                continue  # table dropped since the snapshot
-            column = table.columns[column_name]
-            for onion, level in levels.items():
-                state = column.onions.get(onion)
-                if state is not None and state.level is not level:
-                    state.level = level
-                    changed = True
-            if column.hom_stale_others != hom_stale:
-                column.hom_stale_others = hom_stale
-                changed = True
-        if changed and bump_version:
-            self.bump_version()
-
     # -- onion state updates ----------------------------------------------------
     def lower_onion(self, table: str, column: str, onion: Onion, target: EncryptionScheme) -> list[EncryptionScheme]:
         """Record that an onion has been peeled down to ``target``.

@@ -3,8 +3,9 @@
 The proxy is CryptDB's single stateful trust root; this package makes that
 state survive a crash.  See :mod:`repro.durability.wal` for the on-disk
 format, :mod:`repro.durability.catalog` for the record types and replay,
-and :meth:`repro.core.proxy.CryptDBProxy` (``catalog=``) for the
-write-through and restart paths.
+and :mod:`repro.durability.recovery` for the write-through and restart
+paths: the proxy's metadata image (capture, diff, apply), the logging
+helpers ``CryptDBProxy`` calls, crash recovery and in-doubt resolution.
 """
 
 from repro.durability.catalog import (

@@ -38,8 +38,8 @@ from typing import Any, Optional
 from repro.durability.wal import WriteAheadLog
 from repro.errors import CatalogError
 
-#: Records a compaction keeps verbatim after the snapshot: intents still in
-#: doubt must survive (their resolution needs the canary and the ops).
+#: Default compaction interval: once this many records follow the last
+#: snapshot, the next sync barrier compacts the log.
 _SNAPSHOT_EVERY_DEFAULT = 512
 
 
@@ -123,14 +123,12 @@ class CatalogState:
         if "version" in meta:
             self.version = int(meta["version"])
 
-    def _drop_table_state(self, name: str) -> None:
+    def _drop_table_state(self, name: str, anon: Optional[str]) -> None:
         self.tables = [payload for payload in self.tables if payload["table"] != name]
-        for mapping in (self.levels,):
+        for mapping in (self.levels, self.hom_stale, self.ope_groups, self.join_bases):
             for key in [k for k in mapping if k[0] == name]:
                 del mapping[key]
-        for mapping in (self.hom_stale, self.ope_groups, self.join_bases):
-            for key in [k for k in mapping if k[0] == name]:
-                del mapping[key]
+        self.routing.pop(anon, None)
 
     def snapshot_payload(self) -> dict:
         """The ``snapshot`` record body capturing this whole state."""
@@ -175,7 +173,7 @@ def replay_records(records: list[dict]) -> CatalogState:
             state.table_counter = max(state.table_counter, int(payload["counter"]))
             state.version = int(payload["version"])
         elif kind == "drop_table":
-            state._drop_table_state(payload["table"])
+            state._drop_table_state(payload["table"], payload.get("anon"))
             state.version = int(payload["version"])
         elif kind == "meta":
             state.apply_meta(payload)
@@ -204,16 +202,17 @@ class MetadataCatalog:
 
     ``snapshot_every`` bounds WAL growth: once that many records accumulate
     past the last snapshot, the next sync barrier compacts the log to one
-    snapshot record (plus any in-doubt intents) via an atomic rename.  The
-    snapshot body comes from :attr:`snapshot_source`, a zero-argument
-    callable the proxy installs (it alone can describe full live state).
+    snapshot record via an atomic rename -- never while an intent is
+    pending, so no in-doubt intent is ever folded away.  The snapshot body
+    comes from :attr:`snapshot_source`, a zero-argument callable installed
+    on attach (``recovery.snapshot_record`` over the live proxy).
     """
 
     def __init__(self, path: str, snapshot_every: int = _SNAPSHOT_EVERY_DEFAULT):
         self.path = path
         self.wal = WriteAheadLog(path)
         self.snapshot_every = max(int(snapshot_every), 2)
-        self.snapshot_source = None  # set by the proxy after recovery/attach
+        self.snapshot_source = None  # set by recovery.attach after recovery
         self._intent_counter = 0
         self._pending_intents: dict[int, dict] = {}
         self._records_since_snapshot = 0
@@ -284,10 +283,6 @@ class MetadataCatalog:
         self.state.resolved.add(intent_id)
         self.append({"t": "abort", "id": intent_id}, sync=True)
 
-    @property
-    def pending_intents(self) -> list[int]:
-        return sorted(self._pending_intents)
-
     # -- compaction --------------------------------------------------------
     def maybe_compact(self) -> None:
         if (
@@ -317,11 +312,9 @@ class MetadataCatalog:
     def close(self) -> None:
         if self._closed:
             return
-        # Flush before marking closed: a failed fsync must surface to the
-        # caller, but close() stays idempotent afterwards because the WAL
-        # drops its handle state only on success paths; a second close call
-        # is short-circuited by the flag set in the finally block's caller
-        # (the proxy nulls its reference).
+        # Flush before marking closed, so a failed fsync surfaces to the
+        # caller and leaves the catalog open; the proxy detaches its
+        # reference before calling close(), so it never closes twice.
         self.wal.close()
         self._closed = True
 

@@ -124,6 +124,29 @@ def test_rollback_rewinds_join_adjustments(conn):
     assert conn.execute(join_sql).fetchall() == [("Alice", "sales"), ("Carol", "eng")]
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_ddl_inside_a_transaction_is_refused(paillier_keypair, backend):
+    # SQLite rolls DDL back with the transaction, the in-memory engine keeps
+    # it and MySQL commits it implicitly: no caller can rely on either, so
+    # the proxy refuses before its schema, catalog or backend change.
+    conn = repro.connect(backend=backend, paillier=paillier_keypair)
+    try:
+        conn.execute("CREATE TABLE a (id int)")
+        conn.begin()
+        for ddl in ("CREATE TABLE b (id int)", "CREATE INDEX ib ON a (id)", "DROP TABLE a"):
+            with pytest.raises(NotSupportedError):
+                conn.execute(ddl)
+        conn.execute("INSERT INTO a (id) VALUES (?)", (1,))
+        conn.rollback()
+        assert not conn.proxy.schema.has_table("b")
+        conn.execute("CREATE TABLE b (id int)")
+        conn.execute("INSERT INTO b (id) VALUES (?)", (2,))
+        assert conn.execute("SELECT id FROM b").fetchall() == [(2,)]
+        assert conn.execute("SELECT COUNT(*) FROM a").fetchone()[0] == 0
+    finally:
+        conn.close()
+
+
 def test_explicit_commit_rollback(conn):
     conn.begin()
     conn.execute("DELETE FROM emp WHERE id = ?", (1,))
