@@ -52,17 +52,16 @@ _DECIMAL_SCALE = 10_000
 class Encryptor:
     """Performs all onion-layer encryption and decryption for the proxy.
 
-    There is one encryption path.  The column-batch kernels
+    There is one encryption path, the column-batch kernels
     (``encrypt_column_values``, ``encrypt_constants_many``,
-    ``hom_delta_many``, ``encrypt_hom_group_many``, ``decrypt_column``)
-    compute each distinct value's deterministic layers once through the
-    :class:`~repro.core.cache.CryptoCache` memos (§3.5.2); the scalar entry
-    points (``encrypt_row_value``, ``encrypt_constant``, ``hom_delta``,
-    ``encrypt_hom_group``) are the same kernels run on a batch of one.  A
-    constant or row value bound a second time therefore costs one dictionary
-    lookup whether it arrives through ``execute`` or ``executemany``, and
-    with the cache disabled (Figure 12's Proxy*) both pay the full crypto
-    every time.  RND IVs and HOM randomness are always fresh.
+    ``hom_delta_many``, ``encrypt_hom_group_many``, ``decrypt_column``).
+    They compute each distinct value's deterministic layers once through
+    the :class:`~repro.core.cache.CryptoCache` memos (§3.5.2), and
+    ``execute`` runs them on a batch of one.  A constant or row value bound
+    a second time therefore costs one dictionary lookup whether it is a
+    ``?`` or a literal, and whether it arrives through ``execute`` or
+    ``executemany``; with the cache disabled (Figure 12's Proxy*) both pay
+    the full crypto every time.  RND IVs and HOM randomness are always fresh.
     """
 
     def __init__(
@@ -182,21 +181,6 @@ class Encryptor:
         if column.kind == "integer":
             return self._from_int(column, encoded - _INT32_OFFSET)
         return encoded.to_bytes(4, "big").rstrip(b"\x00").decode("utf-8", "replace")
-
-    # ------------------------------------------------------------------
-    # Onion encryption (INSERT path)
-    # ------------------------------------------------------------------
-    def encrypt_row_value(self, column: ColumnMeta, value: Any) -> dict[str, Any]:
-        """Encrypt one value into all of its onion columns (plus the IV).
-
-        Only the layers that have not yet been stripped from each onion are
-        applied, matching §3.3's write-query behaviour.  A NULL stays NULL in
-        every part (CryptDB exposes NULLs to the DBMS unencrypted, §3.3).
-        """
-        return {
-            name: cells[0]
-            for name, cells in self.encrypt_column_values(column, [value]).items()
-        }
 
     # ------------------------------------------------------------------
     # Column-batch kernels (every statement; ``execute`` is a batch of one)
@@ -391,10 +375,11 @@ class Encryptor:
         """Encrypt one application column of a row batch into its onion parts.
 
         Returns ``{anon_column_name: [cell, ...]}`` with one list entry per
-        input value (NULLs stay NULL in every part; the Add part lives in
-        the table's shared group cell, see :meth:`encrypt_hom_group_many`).
-        Deterministic layers are deduplicated; RND randomness stays fresh
-        per row.
+        input value (NULLs stay NULL in every part, §3.3; the Add part lives
+        in the table's shared group cell, see :meth:`encrypt_hom_group_many`).
+        Only the layers not yet stripped from each onion are applied, as in
+        §3.3's write queries.  Deterministic layers are deduplicated; RND
+        randomness stays fresh per row.
         """
         result: dict[str, list] = {}
         if column.plaintext:
@@ -515,12 +500,6 @@ class Encryptor:
             ]
         )
 
-    def encrypt_hom_group(
-        self, members: Sequence[ColumnMeta], values: Sequence[Any]
-    ) -> int:
-        """One row of :meth:`encrypt_hom_group_many`."""
-        return self.encrypt_hom_group_many(members, [values])[0]
-
     def encrypt_hom_group_many(
         self, members: Sequence[ColumnMeta], rows: Sequence[Sequence[Any]]
     ) -> list[int]:
@@ -577,21 +556,11 @@ class Encryptor:
         return out
 
     # ------------------------------------------------------------------
-    # Constant encryption (query rewrite path)
+    # SEARCH tokens (query rewrite path)
     # ------------------------------------------------------------------
-    def encrypt_constant(
-        self, column: ColumnMeta, onion: Onion, level: EncryptionScheme, value: Any
-    ) -> Any:
-        """One constant of :meth:`encrypt_constants_many`."""
-        return self.encrypt_constants_many(column, onion, level, [value])[0]
-
     def search_token(self, column: ColumnMeta, word: str):
         """Produce the SEARCH token handed to the DBMS for a LIKE keyword."""
         return self._search_for(column).token(word)
-
-    def hom_delta(self, column: ColumnMeta, delta: int) -> int:
-        """One increment of :meth:`hom_delta_many`."""
-        return self.hom_delta_many(column, [delta])[0]
 
     # ------------------------------------------------------------------
     # Decryption (result path)

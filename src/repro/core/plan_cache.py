@@ -1,28 +1,27 @@
 """Prepared statements and the rewrite-plan cache.
 
 Rewriting dominates the proxy's per-query cost (§8.4, Figures 9-10): every
-statement is parsed, analysed against the onion schema, anonymised, and its
-constants onion-encrypted.  For parameterized queries that work is identical
-across executions, so the proxy rewrites each *shape* once and keeps the
-result as a :class:`PreparedStatement`:
+statement is parsed, analysed against the onion schema and anonymised.  That
+work is identical across executions, so the proxy rewrites each *shape* once
+and keeps the result as a :class:`PreparedStatement`:
 
 * the cache key is the statement's normalized text (whitespace/keyword-case
   insensitive, literals re-escaped), computed with a single tokenizer pass;
 * entries record the :class:`~repro.core.schema.ProxySchema` version they
-  were rewritten under.  Any onion adjustment, JOIN-ADJ re-keying, CREATE or
-  DROP bumps that version, so stale plans -- whose baked ciphertext levels no
-  longer match the server's columns -- are discarded on the next lookup;
-* executing a cached plan only *binds* parameters: each ``?`` value is
-  encrypted for exactly the onion/layer recorded in its
+  were rewritten under.  Any onion adjustment, HOM staleness mark, CREATE
+  or DROP bumps that version, so stale plans -- whose slot levels no longer
+  match the server's columns -- are discarded on the next lookup;
+* executing a cached plan only *binds* values: each ``?`` value, and each
+  literal the rewriter lifted into :attr:`~repro.core.rewriter.RewritePlan.literals`,
+  is encrypted for exactly the onion/layer recorded in its
   :class:`~repro.core.rewriter.ParamSlot` and written into the rewritten
   statement's literal nodes in place.  ``execute`` binds a batch of one
   through the same columnar kernels (and memos) as ``executemany``.
 
-Plans whose rewritten text embeds fresh per-execution randomness (RND IVs of
-literal INSERT/UPDATE values) are marked non-cacheable by the rewriter and
-always re-rewritten.  A literal HOM increment (``SET c = c + 1``) is instead
-recorded as a bind-time slot, so its plan is cached and only the Paillier
-ciphertext of the delta is fresh per execution.
+No plan embeds a ciphertext, so every plan is reusable and every execution
+draws fresh RND IVs and Paillier randomness, literals included.  A JOIN-ADJ
+re-key therefore needs no new plans, only fresh Eq encryptions (the cache
+drops the column's Eq memo).
 """
 
 from __future__ import annotations
@@ -74,21 +73,18 @@ class PreparedStatement:
 def _bind_slot_columns(
     plan: RewritePlan, rows: Sequence[Sequence[Any]], encryptor: Encryptor
 ) -> list[list[Any]]:
-    """Encrypt parameter rows column-wise: one list of bound values per slot.
+    """Encrypt value rows column-wise: one list of bound values per slot.
 
-    For every :class:`~repro.core.rewriter.ParamSlot` the values of all rows
-    are gathered into one column and encrypted in a single batch call, so the
-    deterministic layers of repeated values are computed once (and, through
-    the encryptor's memos, once across statements).  A slot whose ``index``
-    is ``None`` binds its recorded ``literal`` instead of a parameter.
+    Each row holds the statement's ``?`` values followed by its lifted
+    literals.  For every :class:`~repro.core.rewriter.ParamSlot` the values
+    of all rows are gathered into one column and encrypted in a single batch
+    call, so the deterministic layers of repeated values are computed once
+    (and, through the encryptor's memos, once across statements).
     """
     slot_columns: list[list[Any]] = []
     row_value_parts: dict[int, dict[str, list]] = {}
     for slot in plan.param_slots:
-        if slot.index is None:
-            values = [slot.literal] * len(rows)
-        else:
-            values = [row[slot.index] for row in rows]
+        values = [row[slot.index] for row in rows]
         if slot.kind == "plain":
             slot_columns.append(values)
         elif slot.kind == "constant":
@@ -117,14 +113,8 @@ def _bind_slot_columns(
         elif slot.kind == "hom_pack":
             slot_columns.append(
                 encryptor.encrypt_hom_group_many(
-                    [column for column, _, _ in slot.pack],
-                    [
-                        [
-                            row[index] if index is not None else literal
-                            for _, index, literal in slot.pack
-                        ]
-                        for row in rows
-                    ],
+                    [column for column, _ in slot.pack],
+                    [[row[index] for _, index in slot.pack] for row in rows],
                 )
             )
         else:  # pragma: no cover - slots are only created with known kinds
@@ -135,9 +125,10 @@ def _bind_slot_columns(
 def bind_parameters(
     plan: RewritePlan, params: Sequence[Any], encryptor: Encryptor
 ) -> None:
-    """Encrypt bound values into the plan's literal slots, in place.
+    """Encrypt one row of values into the plan's literal slots, in place.
 
-    A batch of one through the same columnar kernels ``executemany`` uses.
+    ``params`` is the statement's ``?`` values followed by ``plan.literals``;
+    a batch of one through the same columnar kernels ``executemany`` uses.
     """
     for slot, column in zip(
         plan.param_slots, _bind_slot_columns(plan, [params], encryptor)
@@ -148,7 +139,7 @@ def bind_parameters(
 def bind_parameters_batch(
     plan: RewritePlan, rows: Sequence[Sequence[Any]], encryptor: Encryptor
 ) -> list[list[Any]]:
-    """Encrypt many parameter rows; returns one list per row.
+    """Encrypt many value rows (``?`` values, then literals); one list per row.
 
     Each row's list is aligned with ``plan.param_slots``; the caller writes
     its values into the slot targets just before executing the row.

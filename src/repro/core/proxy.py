@@ -223,7 +223,6 @@ class CryptDBProxy:
         self._begin_image: Optional[CatalogState] = None
         self._computation_log: dict[tuple[str, str], set] = {}
         self._unsupported_log: list[str] = []
-        self._training = False
         udfs.install_udfs(self.db, self.paillier.public, packing)
         if getattr(self.db, "is_sharded", False):
             self.stats.shard = self.db
@@ -321,6 +320,7 @@ class CryptDBProxy:
         )
         if not isinstance(statement, ast.CreateTable):
             raise ProxyError("create_table expects a CREATE TABLE statement")
+        self._refuse_ddl_in_transaction()
         table_meta = self.schema.add_table(
             statement.table,
             statement.columns,
@@ -399,6 +399,7 @@ class CryptDBProxy:
 
     def create_index(self, table: str, column: str) -> None:
         """Create indexes over the column's DET/JOIN and OPE onions (§3.3)."""
+        self._refuse_ddl_in_transaction()
         column_meta = self.schema.column(table, column)
         anon_table = self.db.table(self.schema.table(table).anon_name)
         if column_meta.plaintext:
@@ -415,6 +416,7 @@ class CryptDBProxy:
         All declared columns share one OPE key; must be called before data is
         inserted into those columns.
         """
+        self._refuse_ddl_in_transaction()
         before = recovery.capture(self)
         for table, column in columns:
             self.schema.column(table, column).ope_join_group = group
@@ -446,15 +448,13 @@ class CryptDBProxy:
     ) -> int:
         """Execute one statement shape for every parameter tuple.
 
-        A fully parameterized shape is prepared (rewritten) exactly once and
-        then executed through the **batched pipeline**: all parameter rows
-        are encrypted column-at-a-time through the plan's deferred slots
-        (deterministic layers deduplicated via the ciphertext cache), and a
+        The shape is prepared (rewritten) exactly once and then executed
+        through the **batched pipeline**: all parameter rows, each followed
+        by the plan's lifted literals, are encrypted column-at-a-time through
+        the plan's slots (deterministic layers deduplicated via the
+        ciphertext cache, RND IVs and HOM randomness fresh per row), and a
         single-row INSERT shape is forwarded to the DBMS as one multi-row
-        INSERT.  Shapes that bake per-execution randomness into the plan
-        (literal values written to encrypted columns) fall back to per-row
-        re-rewriting so RND IVs and HOM ciphertexts are never replayed.
-        Returns the total affected rowcount.
+        INSERT.  Returns the total affected rowcount.
         """
         rows = [tuple(params) for params in seq_of_params]
         if not rows:
@@ -464,42 +464,29 @@ class CryptDBProxy:
             # and a bad shape will still fail loudly on first real use.
             return 0
         prepared = self.prepare(sql)
-        plan = prepared.plan
         # A row with the wrong parameter count fails the whole batch before
-        # any row is written -- on the per-row fallback path too.
+        # any row is written.
         for index, params in enumerate(rows):
             if len(params) != prepared.param_count:
                 raise ProxyError(
                     f"statement expects {prepared.param_count} parameters, "
                     f"got {len(params)} (row {index})"
                 )
-        batchable = (
-            not prepared.is_ddl
-            and not plan.passthrough
-            and plan.cacheable
-            and prepared.param_count > 0
-        )
-        if batchable:
-            return self._execute_prepared_batch(prepared, rows)
-        reusable = (
-            prepared.is_ddl or plan.passthrough or plan.cacheable
-        )
-        total = 0
-        for params in rows:
-            total += self.execute_prepared(prepared, params).rowcount
-            if not reusable:
-                prepared = self.prepare(sql)
-        return total
+        if prepared.is_ddl or prepared.plan.passthrough:
+            return sum(self.execute_prepared(prepared, params).rowcount for params in rows)
+        return self._execute_prepared_batch(prepared, rows)
 
     def _execute_prepared_batch(
         self, prepared: PreparedStatement, rows: list[tuple]
     ) -> int:
-        """Run one cacheable statement shape over a batch of parameter rows."""
+        """Run one statement shape over a batch of parameter rows."""
         plan = prepared.plan
         total_start = time.perf_counter()
         self.stats.queries_processed += len(rows)
         try:
             bind_start = time.perf_counter()
+            literals = tuple(plan.literals)
+            rows = [row + literals for row in rows]
             bound_rows = bind_parameters_batch(plan, rows, self.encryptor)
             bind_time = time.perf_counter() - bind_start
 
@@ -547,7 +534,7 @@ class CryptDBProxy:
             )
             self.cache.enforce_budget()
 
-    #: Statement heads that never produce a cacheable rewrite plan; prepare()
+    #: Statement heads that never produce a cached rewrite plan; prepare()
     #: skips the cache for them so hit/miss counters reflect only real plans.
     _UNCACHED_HEADS = frozenset({"CREATE", "DROP", "BEGIN", "COMMIT", "ROLLBACK", "START"})
 
@@ -584,10 +571,8 @@ class CryptDBProxy:
         try:
             plan = self.rewriter.rewrite(statement)
             if not plan.passthrough:
-                bound_indices = {
-                    slot.index for slot in plan.param_slots if slot.index is not None
-                }
-                if bound_indices != set(range(param_count)):
+                bound_indices = {slot.index for slot in plan.param_slots}
+                if not bound_indices.issuperset(range(param_count)):
                     raise UnsupportedQueryError(
                         "a ? placeholder appears in a position that cannot be bound "
                         "over encrypted data"
@@ -683,7 +668,7 @@ class CryptDBProxy:
         prepared = PreparedStatement(
             statement, plan, param_count, self.schema.version, kind, sql_key=cache_key
         )
-        if plan.cacheable and not plan.passthrough:
+        if not plan.passthrough:
             self.plan_cache.put(prepared)
         return prepared
 
@@ -708,6 +693,7 @@ class CryptDBProxy:
                     f"got {len(params)}"
                 )
             bind_start = time.perf_counter()
+            params += tuple(plan.literals)
             if plan.param_slots:
                 bind_parameters(plan, params, self.encryptor)
             bind_time = time.perf_counter() - bind_start
@@ -791,10 +777,7 @@ class CryptDBProxy:
             }
             if not old_cells:
                 continue
-            assignments = [
-                (column, params[index] if index is not None else value)
-                for column, index, value in spec.assignments
-            ]
+            assignments = [(column, params[index]) for column, index in spec.assignments]
             for old_cell in old_cells:
                 new_cell = self.encryptor.hom_group_rewrite(assignments, old_cell)
                 match = ast.BinaryOp(
@@ -845,14 +828,7 @@ class CryptDBProxy:
         return result
 
     def _execute_ddl(self, statement: ast.Statement) -> ResultSet:
-        """CREATE/DROP statements the proxy handles outside the rewriter.
-
-        Refused inside an open application transaction: MySQL commits DDL
-        implicitly and SQLite rolls it back, so no caller can rely on it, and
-        the proxy's schema, catalog and backend would disagree after either.
-        """
-        if self.db.transactions.in_transaction:
-            raise UnsupportedQueryError("DDL inside an open transaction is not supported")
+        """CREATE/DROP statements the proxy handles outside the rewriter."""
         if isinstance(statement, ast.CreateTable):
             self.create_table(statement)
             return ResultSet([], [], 0)
@@ -861,6 +837,7 @@ class CryptDBProxy:
                 self.create_index(statement.table, column)
             return ResultSet([], [], 0)
         if isinstance(statement, ast.DropTable):
+            self._refuse_ddl_in_transaction()
             if self.schema.has_table(statement.table):
                 meta = self.schema.drop_table(statement.table)
                 if self.catalog is not None:
@@ -872,6 +849,16 @@ class CryptDBProxy:
             return self.db.execute(statement)
         raise ProxyError(f"unexpected DDL statement {type(statement).__name__}")
 
+    def _refuse_ddl_in_transaction(self) -> None:
+        """Refuse DDL, by SQL or the Python API, inside an open transaction.
+
+        MySQL commits DDL implicitly and SQLite rolls it back, so no caller
+        can rely on it, and the proxy's schema, catalog and backend would
+        disagree after either.
+        """
+        if self.db.transactions.in_transaction:
+            raise UnsupportedQueryError("DDL inside an open transaction is not supported")
+
     # ------------------------------------------------------------------
     # training mode (§3.5.1) and reporting
     # ------------------------------------------------------------------
@@ -881,15 +868,11 @@ class CryptDBProxy:
         Unsupported queries are collected as warnings instead of being raised,
         exactly as the paper's training mode does.
         """
-        self._training = True
-        try:
-            for query in queries:
-                try:
-                    self.execute(query)
-                except UnsupportedQueryError:
-                    continue
-        finally:
-            self._training = False
+        for query in queries:
+            try:
+                self.execute(query)
+            except UnsupportedQueryError:
+                continue
         return self.report()
 
     def report(self) -> TrainingReport:

@@ -7,9 +7,10 @@ For every incoming statement the rewriter:
    bring columns to the required layers; :meth:`Rewriter.adjustment_update`
    turns each into its server-side UDF UPDATE;
 3. rewrites the statement itself: table and column names are replaced by
-   their anonymised counterparts, constants by onion encryptions, LIKE by
-   SEARCH-token UDF calls, SUM by the Paillier UDF aggregate, and equi-joins
-   by comparisons over the JOIN-ADJ components;
+   their anonymised counterparts, constants by bind-time slots (a literal
+   binds exactly like a ``?``), LIKE by SEARCH-token UDF calls, SUM by the
+   Paillier UDF aggregate, and equi-joins by comparisons over the JOIN-ADJ
+   components;
 4. emits a decryption plan describing how the proxy should decrypt the
    result set before returning it to the application.
 """
@@ -17,7 +18,7 @@ For every incoming statement the rewriter:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from repro.core import udfs
 from repro.core.encryptor import Encryptor
@@ -49,18 +50,18 @@ class OutputSpec:
 
 @dataclass
 class ParamSlot:
-    """How one bound parameter occurrence is encrypted at execution time.
+    """How one bound value occurrence is encrypted at execution time.
 
     The rewriter leaves a mutable :class:`~repro.sql.ast_nodes.Literal` node
-    (``target``) in the rewritten statement for every place a ``?`` value must
-    appear; binding fills those nodes in, so prepare-once/execute-many only
-    pays for parameter encryption, never for re-parsing or re-rewriting.
+    (``target``) in the rewritten statement for every place a ``?`` value or
+    a literal constant must appear; binding fills those nodes in, so
+    prepare-once/execute-many only pays for encrypting the values, never for
+    re-parsing or re-rewriting, and no plan ever embeds a ciphertext.
     """
 
-    #: Zero-based parameter position.  ``None`` marks a slot that binds its
-    #: recorded ``literal`` on every execution (a literal HOM increment: the
-    #: plan is reusable, only the Paillier ciphertext must be fresh).
-    index: Optional[int]
+    #: Zero-based position in the bound values: the statement's own ``?``
+    #: parameters first, then its lifted literals (:attr:`RewritePlan.literals`).
+    index: int
     kind: str                      # plain | constant | row_value | hom_delta | hom_pack
     target: ast.Literal            # literal node in the rewritten statement
     column: Optional[ColumnMeta] = None
@@ -69,10 +70,9 @@ class ParamSlot:
     part: Optional[str] = None     # row_value: which anonymised column
     sign: int = 1                  # hom_delta: +1 for ``c + ?``, -1 for ``c - ?``
     #: hom_pack: the whole packed group cell, slot-ordered.  Each entry is
-    #: ``(member column, parameter index or None, literal value)``; binding
-    #: gathers the member values and encrypts one packed ciphertext.
+    #: ``(member column, value index)``; binding gathers the member values
+    #: and encrypts one packed ciphertext.
     pack: Optional[list] = None
-    literal: Any = None            # the value bound when ``index`` is None
 
 
 @dataclass
@@ -88,7 +88,7 @@ class HomRmwSpec:
 
     anon_table: str
     group_anon_name: str
-    #: slot-ordered: ``(member column, parameter index or None, literal value)``
+    #: slot-ordered: ``(member column, value index)``
     assignments: list = field(default_factory=list)
 
 
@@ -111,11 +111,12 @@ class RewritePlan:
     param_slots: list[ParamSlot] = field(default_factory=list)
     #: Packed-group rewrites the proxy must run *before* the main statement.
     hom_rmw: list[HomRmwSpec] = field(default_factory=list)
-    # A plan is cacheable unless fresh per-execution randomness (RND IVs, HOM
-    # ciphertexts of literal INSERT/SET values) was baked into the rewritten
-    # statement itself; replaying such a plan would silently reuse randomness
-    # and leak equality.
-    cacheable: bool = True
+    #: The statement's own ``?`` count; lifted literals are numbered from here.
+    param_count: int = 0
+    #: Literal constants the statement supplies itself, bound after its
+    #: ``?`` values on every execution, so each one gets fresh RND IVs and
+    #: Paillier randomness exactly like a parameter.
+    literals: list = field(default_factory=list)
 
 
 class _Scope:
@@ -188,14 +189,15 @@ class Rewriter:
     def rewrite(self, statement: ast.Statement) -> RewritePlan:
         if isinstance(statement, (ast.Begin, ast.Commit, ast.Rollback)):
             return RewritePlan(statement=statement, passthrough=True)
+        plan = RewritePlan(statement=None, param_count=ast.count_placeholders(statement))
         if isinstance(statement, ast.Select):
-            return self._rewrite_select(statement)
+            return self._rewrite_select(statement, plan)
         if isinstance(statement, ast.Insert):
-            return self._rewrite_insert(statement)
+            return self._rewrite_insert(statement, plan)
         if isinstance(statement, ast.Update):
-            return self._rewrite_update(statement)
+            return self._rewrite_update(statement, plan)
         if isinstance(statement, ast.Delete):
-            return self._rewrite_delete(statement)
+            return self._rewrite_delete(statement, plan)
         raise UnsupportedQueryError(
             f"statement type {type(statement).__name__} must be handled by the proxy directly"
         )
@@ -320,8 +322,6 @@ class Rewriter:
                 ("join", adjustment.table, adjustment.column, adjustment.delta)
             )
             self.onion_adjustments += 1
-            # JOIN-ADJ key changes invalidate plans with baked JOIN constants.
-            self.schema.bump_version()
 
     # ==================================================================
     # constants and parameter placeholders
@@ -331,6 +331,14 @@ class Rewriter:
         """Literal constants and ``?`` placeholders are both bindable."""
         return isinstance(expr, (ast.Literal, ast.Placeholder))
 
+    @staticmethod
+    def _value_index(plan: RewritePlan, expr: ast.Expression) -> int:
+        """The bind position of a constant: a ``?``'s own, or a lifted literal's."""
+        if isinstance(expr, ast.Placeholder):
+            return expr.index
+        plan.literals.append(expr.value)
+        return plan.param_count + len(plan.literals) - 1
+
     def _encrypted_constant(
         self,
         plan: RewritePlan,
@@ -339,37 +347,33 @@ class Rewriter:
         onion: Onion,
         level: EncryptionScheme,
     ) -> ast.Literal:
-        """An encrypted literal, or a deferred slot for a placeholder."""
-        if isinstance(expr, ast.Placeholder):
-            target = ast.Literal(None)
-            plan.param_slots.append(
-                ParamSlot(expr.index, "constant", target, column, onion, level)
-            )
-            return target
-        return ast.Literal(self.encryptor.encrypt_constant(column, onion, level, expr.value))
+        """A bind-time slot encrypting one constant for ``onion`` at ``level``."""
+        target = ast.Literal(None)
+        plan.param_slots.append(
+            ParamSlot(self._value_index(plan, expr), "constant", target, column, onion, level)
+        )
+        return target
 
     def _plain_constant(self, plan: RewritePlan, expr: ast.Expression) -> ast.Expression:
-        """A plaintext-column constant, deferred when it is a placeholder."""
-        if isinstance(expr, ast.Placeholder):
-            target = ast.Literal(None)
-            plan.param_slots.append(ParamSlot(expr.index, "plain", target))
-            return target
-        return expr
+        """A bind-time slot for a plaintext-column literal or ``?``."""
+        if not self._bindable(expr):
+            return expr
+        target = ast.Literal(None)
+        plan.param_slots.append(ParamSlot(self._value_index(plan, expr), "plain", target))
+        return target
 
     def _row_value_slots(
-        self, plan: RewritePlan, placeholder: ast.Placeholder, column: ColumnMeta
+        self, plan: RewritePlan, index: int, column: ColumnMeta
     ) -> list[tuple[str, ast.Literal]]:
-        """Deferred onion encryptions of one placeholder-valued row cell."""
+        """Bind-time onion encryptions of one row cell, value ``index``."""
         if column.plaintext:
             target = ast.Literal(None)
-            plan.param_slots.append(ParamSlot(placeholder.index, "plain", target))
+            plan.param_slots.append(ParamSlot(index, "plain", target))
             return [(column.name, target)]
         pairs: list[tuple[str, ast.Literal]] = []
         for part in self._anon_parts(column):
             target = ast.Literal(None)
-            plan.param_slots.append(
-                ParamSlot(placeholder.index, "row_value", target, column, part=part)
-            )
+            plan.param_slots.append(ParamSlot(index, "row_value", target, column, part=part))
             pairs.append((part, target))
         return pairs
 
@@ -596,8 +600,8 @@ class Rewriter:
         if not pattern.startswith("%") and not pattern.endswith("%"):
             # No wildcards at all: this is an equality check.
             onion, level = self._require(plan, column, ComputationClass.EQUALITY)
-            encrypted = ast.Literal(
-                self.encryptor.encrypt_constant(column, onion, level, stripped)
+            encrypted = self._encrypted_constant(
+                plan, ast.Literal(stripped), column, onion, level
             )
             ref = ast.ColumnRef(column.onion_state(onion).anon_name, qualifier)
             comparison = ast.BinaryOp("=", ref, encrypted)
@@ -670,8 +674,7 @@ class Rewriter:
             return ast.Join(left, right, condition, clause.join_type)
         raise ProxyError(f"unsupported FROM clause {clause!r}")
 
-    def _rewrite_select(self, statement: ast.Select) -> RewritePlan:
-        plan = RewritePlan(statement=None)
+    def _rewrite_select(self, statement: ast.Select, plan: RewritePlan) -> RewritePlan:
         scope = self._build_scope(statement.from_clause)
 
         new_from = self._rewrite_from(statement.from_clause, scope, plan)
@@ -916,20 +919,15 @@ class Rewriter:
     # ==================================================================
     # INSERT / UPDATE / DELETE
     # ==================================================================
-    def _rewrite_insert(self, statement: ast.Insert) -> RewritePlan:
-        plan = RewritePlan(statement=None)
+    def _rewrite_insert(self, statement: ast.Insert, plan: RewritePlan) -> RewritePlan:
         table_meta = self.schema.table(statement.table)
         columns = statement.columns or table_meta.column_names()
 
         # Deterministic anonymised layout, independent of the row values.
-        layout: list[tuple[ColumnMeta, list[str]]] = []
+        metas = [table_meta.column(name) for name in columns]
         anon_columns: list[str] = []
-        for column_name in columns:
-            column = table_meta.column(column_name)
-            parts = [column.name] if column.plaintext else self._anon_parts(column)
-            layout.append((column, parts))
-            anon_columns.extend(parts)
-
+        for column in metas:
+            anon_columns.extend([column.name] if column.plaintext else self._anon_parts(column))
         for group in table_meta.hom_groups:
             anon_columns.append(group.anon_name)
         position = {name: i for i, name in enumerate(columns)}
@@ -939,26 +937,21 @@ class Rewriter:
             if len(row_exprs) != len(columns):
                 raise ProxyError("INSERT row length does not match the column list")
             row: list[ast.Expression] = []
-            for (column, parts), expr in zip(layout, row_exprs):
+            # One value index per cell, shared by its onion parts and its
+            # packed-HOM member, so every part encrypts the same value.
+            indices: list[int] = []
+            for column, expr in zip(metas, row_exprs):
                 self._record(plan, column, ComputationClass.NONE)
-                if isinstance(expr, ast.Placeholder):
-                    row.extend(target for _, target in self._row_value_slots(plan, expr, column))
-                    continue
-                if not isinstance(expr, ast.Literal):
+                if not self._bindable(expr):
                     raise UnsupportedQueryError(
                         "INSERT values must be constants or ? placeholders"
                     )
-                if column.plaintext:
-                    row.append(ast.Literal(expr.value))
-                    continue
-                # A fresh IV is baked into the plan.
-                plan.cacheable = False
-                encrypted = self.encryptor.encrypt_row_value(column, expr.value)
-                row.extend(ast.Literal(encrypted.get(part)) for part in parts)
-            for group in table_meta.hom_groups:
-                row.append(
-                    self._packed_insert_cell(plan, table_meta, group, position, row_exprs)
+                indices.append(self._value_index(plan, expr))
+                row.extend(
+                    target for _, target in self._row_value_slots(plan, indices[-1], column)
                 )
+            for group in table_meta.hom_groups:
+                row.append(self._packed_insert_cell(plan, table_meta, group, position, indices))
             rows.append(row)
         plan.statement = ast.Insert(table_meta.anon_name, anon_columns, rows)
         return plan
@@ -969,43 +962,27 @@ class Rewriter:
         table_meta: TableMeta,
         group: HomGroup,
         position: dict[str, int],
-        row_exprs: list[ast.Expression],
-    ) -> ast.Expression:
-        """The INSERT expression for one row's shared packed group cell.
+        indices: list[int],
+    ) -> ast.Literal:
+        """The ``hom_pack`` slot for one row's shared packed group cell.
 
-        Members missing from the INSERT column list default to NULL and are
+        Members missing from the INSERT column list lift as NULL and are
         stored as count-0 slots; the cell itself is always non-NULL, so the
-        read paths never need a packed-IS-NULL special case.  Rows with any
-        ``?`` member defer to a ``hom_pack`` slot (one packed encryption per
-        bound row); all-literal rows bake a fresh ciphertext and make the
-        plan non-cacheable, exactly like literal RND IVs.
+        read paths never need a packed-IS-NULL special case.
         """
-        entries: list[tuple[ColumnMeta, Optional[int], Any]] = []
+        pack: list[tuple[ColumnMeta, int]] = []
         for member_name in group.members:
-            column = table_meta.column(member_name)
-            index = position.get(member_name)
-            expr = row_exprs[index] if index is not None else None
-            if isinstance(expr, ast.Placeholder):
-                entries.append((column, expr.index, None))
+            at = position.get(member_name)
+            if at is not None:
+                index = indices[at]
             else:
-                # The main column loop already rejected anything that is not
-                # a Literal or Placeholder; a missing member stays NULL.
-                entries.append((column, None, expr.value if expr is not None else None))
-        param_indices = [index for _, index, _ in entries if index is not None]
-        if param_indices:
-            target = ast.Literal(None)
-            plan.param_slots.append(
-                ParamSlot(param_indices[0], "hom_pack", target, pack=entries)
-            )
-            return target
-        plan.cacheable = False
-        members = [table_meta.column(name) for name in group.members]
-        return ast.Literal(
-            self.encryptor.encrypt_hom_group(members, [value for _, _, value in entries])
-        )
+                index = self._value_index(plan, ast.Literal(None))
+            pack.append((table_meta.column(member_name), index))
+        target = ast.Literal(None)
+        plan.param_slots.append(ParamSlot(pack[0][1], "hom_pack", target, pack=pack))
+        return target
 
-    def _rewrite_update(self, statement: ast.Update) -> RewritePlan:
-        plan = RewritePlan(statement=None)
+    def _rewrite_update(self, statement: ast.Update, plan: RewritePlan) -> RewritePlan:
         table_meta = self.schema.table(statement.table)
         scope = _Scope(self.schema)
         scope.add(statement.table, None)
@@ -1032,20 +1009,12 @@ class Rewriter:
                     raise UnsupportedQueryError("updates to plaintext columns must be constants")
                 assignments.append((column.name, self._plain_constant(plan, expr)))
                 continue
-            if isinstance(expr, ast.Placeholder):
+            if self._bindable(expr):
                 self._record(plan, column, ComputationClass.NONE)
-                assignments.extend(self._row_value_slots(plan, expr, column))
+                index = self._value_index(plan, expr)
+                assignments.extend(self._row_value_slots(plan, index, column))
                 if column.has_onion(Onion.ADD):
-                    self._register_hom_rmw(plan, table_meta, column, expr.index, None)
-                continue
-            if isinstance(expr, ast.Literal):
-                self._record(plan, column, ComputationClass.NONE)
-                # A fresh IV is baked into the plan; do not cache it.
-                plan.cacheable = False
-                encrypted = self.encryptor.encrypt_row_value(column, expr.value)
-                assignments.extend((name, ast.Literal(value)) for name, value in encrypted.items())
-                if column.has_onion(Onion.ADD):
-                    self._register_hom_rmw(plan, table_meta, column, None, expr.value)
+                    self._register_hom_rmw(plan, table_meta, column, index)
                 continue
             increment = _match_increment(expr, column_name)
             if increment is not None:
@@ -1053,18 +1022,9 @@ class Rewriter:
                 self._record(plan, column, ComputationClass.ADDITION)
                 self._require(plan, column, ComputationClass.ADDITION)
                 state = column.onion_state(Onion.ADD)
-                # HOM encryption is probabilistic, so the delta ciphertext is
-                # never baked into the (reusable) plan: a ``?`` and a literal
-                # delta alike are encrypted afresh at bind time.
-                delta_node = ast.Literal(None)
-                if isinstance(value_expr, ast.Placeholder):
-                    slot = ParamSlot(value_expr.index, "hom_delta", delta_node, column, sign=sign)
-                else:
-                    slot = ParamSlot(
-                        None, "hom_delta", delta_node, column, sign=sign,
-                        literal=value_expr.value,
-                    )
-                plan.param_slots.append(slot)
+                delta = ast.Literal(None)
+                index = self._value_index(plan, value_expr)
+                plan.param_slots.append(ParamSlot(index, "hom_delta", delta, column, sign=sign))
                 # The delta ciphertext is pre-shifted into the member's slot;
                 # the Eq-onion cell rides along as a NULL sentinel so
                 # increments of NULL values leave the slot at count 0.
@@ -1075,7 +1035,7 @@ class Rewriter:
                     if previous is not None
                     else ast.ColumnRef(state.anon_name)
                 )
-                call = ast.FunctionCall(udfs.HOM_ADD_PACKED, [base, delta_node, sentinel])
+                call = ast.FunctionCall(udfs.HOM_ADD_PACKED, [base, delta, sentinel])
                 if previous is not None:
                     assignments[previous] = (state.anon_name, call)
                 else:
@@ -1098,28 +1058,19 @@ class Rewriter:
 
     @staticmethod
     def _register_hom_rmw(
-        plan: RewritePlan,
-        table_meta: TableMeta,
-        column: ColumnMeta,
-        param_index: Optional[int],
-        value: Any,
+        plan: RewritePlan, table_meta: TableMeta, column: ColumnMeta, index: int
     ) -> None:
         """Record that an UPDATE absolutely reassigns one packed slot."""
         group = table_meta.hom_groups[column.hom_group]
         for spec in plan.hom_rmw:
             if spec.group_anon_name == group.anon_name:
-                spec.assignments.append((column, param_index, value))
+                spec.assignments.append((column, index))
                 return
         plan.hom_rmw.append(
-            HomRmwSpec(
-                table_meta.anon_name,
-                group.anon_name,
-                [(column, param_index, value)],
-            )
+            HomRmwSpec(table_meta.anon_name, group.anon_name, [(column, index)])
         )
 
-    def _rewrite_delete(self, statement: ast.Delete) -> RewritePlan:
-        plan = RewritePlan(statement=None)
+    def _rewrite_delete(self, statement: ast.Delete, plan: RewritePlan) -> RewritePlan:
         table_meta = self.schema.table(statement.table)
         scope = _Scope(self.schema)
         scope.add(statement.table, None)

@@ -132,18 +132,18 @@ def rewind(proxy, image: CatalogState, keep_version: bool) -> CatalogState:
     nothing was cached against the discarded state, so the plan-cache
     version returns to the image's and cached plans survive.  ROLLBACK
     passes False: the data rewound too, so plans cached inside the
-    transaction are stale and a changed level bumps the version.  Moved
-    JOIN-ADJ keys always bump it and drop memoised Eq encryptions.
+    transaction are stale (a JOIN plan cached there would skip the re-key
+    its rolled-back adjustment made), so any change bumps the version.
+    Moved JOIN-ADJ keys drop memoised Eq encryptions; no plan embeds one.
     """
     current = capture(proxy)
     diff = meta_diff(current, image) or {}
     if not keep_version:
         diff.pop("version", None)
     apply_meta(proxy, diff)
-    if not keep_version and diff.keys() - {"joins"}:
+    if not keep_version and diff:
         proxy.schema.bump_version()
     if "joins" in diff:
-        proxy.schema.bump_version()
         proxy.cache.invalidate_eq()
     return current
 

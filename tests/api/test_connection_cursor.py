@@ -147,6 +147,43 @@ def test_ddl_inside_a_transaction_is_refused(paillier_keypair, backend):
         conn.close()
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_python_api_ddl_inside_a_transaction_is_refused(paillier_keypair, backend, tmp_path):
+    # The proxy's own DDL entry points take the same refusal as SQL DDL, so
+    # a rollback cannot leave the proxy knowing a table the backend dropped.
+    from repro.durability import recovery
+    from repro.errors import UnsupportedQueryError
+
+    conn = repro.connect(
+        backend=backend, paillier=paillier_keypair, catalog=str(tmp_path / "meta.wal")
+    )
+    proxy = conn.proxy
+    try:
+        conn.execute("CREATE TABLE a (id int, k int)")
+        conn.begin()
+        proxy.catalog.sync()
+        records = proxy.catalog.wal.load()
+        image = recovery.capture(proxy)
+        tables = sorted(proxy.db.table_names())
+        for ddl in (
+            lambda: proxy.create_table("CREATE TABLE x (id int)"),
+            lambda: proxy.create_index("a", "id"),
+            lambda: proxy.declare_range_join([("a", "k")]),
+        ):
+            with pytest.raises(UnsupportedQueryError):
+                ddl()
+        conn.rollback()
+        assert not proxy.schema.has_table("x")
+        assert recovery.capture(proxy) == image
+        proxy.catalog.sync()
+        assert proxy.catalog.wal.load() == records
+        assert sorted(proxy.db.table_names()) == tables
+        conn.execute("INSERT INTO a (id, k) VALUES (?, ?)", (1, 2))
+        assert conn.execute("SELECT id FROM a WHERE k = ?", (2,)).fetchall() == [(1,)]
+    finally:
+        conn.close()
+
+
 def test_explicit_commit_rollback(conn):
     conn.begin()
     conn.execute("DELETE FROM emp WHERE id = ?", (1,))

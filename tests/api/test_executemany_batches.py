@@ -40,9 +40,9 @@ def test_param_count_mismatch_rejects_whole_batch(conn):
             [(1, "a", 10, "extra")],
         )
     assert _count(conn) == 0
-    # Same contract on the per-row fallback path: a baked literal written to
-    # an encrypted column makes the plan non-cacheable, but a later bad row
-    # must still fail the batch before any row is written.
+    # Same contract when the shape also carries a literal bound to an
+    # encrypted column: a later bad row still fails the batch before any row
+    # is written.
     with pytest.raises(ProgrammingError):
         conn.executemany(
             "INSERT INTO items (id, label, qty) VALUES (?, ?, 7)",

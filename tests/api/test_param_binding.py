@@ -240,14 +240,18 @@ def test_executemany_matches_sequential_execute_decrypted(paillier_keypair):
 def test_executemany_never_replays_baked_randomness(conn):
     """A mixed literal+placeholder INSERT re-encrypts its literal per row.
 
-    The literal 7 feeds an encrypted column, so its RND ciphertext/IV is
-    baked into the (non-cacheable) plan; executemany must re-rewrite per
-    row rather than replaying the same IV for every inserted row.
+    The literal 7 feeds an encrypted column.  It binds like a ``?`` riding
+    every parameter row, so the shape takes the batched pipeline and each
+    row still draws a fresh RND IV for it.
     """
+    stats = conn.proxy.stats
+    batched, batched_rows = stats.batched_statements, stats.batched_rows
     conn.executemany(
         "INSERT INTO notes (id, body, score) VALUES (?, ?, 7)",
         [(i, f"note {i}") for i in range(1, 5)],
     )
+    assert stats.batched_statements == batched + 1
+    assert stats.batched_rows == batched_rows + 4
     score_cells = set()
     for _, row in conn.backend.table("table1").scan():
         score_cells.add(bytes(row["C3_Eq"]))

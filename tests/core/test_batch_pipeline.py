@@ -119,8 +119,8 @@ def test_constants_match_the_primitive_reference(setup, level):
     for value, cell in zip(values, batch):
         expected = None if value is None else reference_eq(encryptor, column, value, level)
         assert cell == expected
-        # The scalar entry point is the same kernel on a batch of one.
-        assert cell == encryptor.encrypt_constant(column, Onion.EQ, level, value)
+        # A batch of one runs the same kernel.
+        assert cell == encryptor.encrypt_constants_many(column, Onion.EQ, level, [value])[0]
     # Repeated values share one deterministic ciphertext.
     assert batch[0] == batch[2]
 
@@ -187,9 +187,9 @@ def test_eq_memo_invalidated_by_join_rekey(setup):
         encryptor, column_txt, "shared", EncryptionScheme.JOIN
     )
     # The JOIN-ADJ prefix now matches s's encryption of the same value.
-    other = encryptor.encrypt_constant(
-        column_s, Onion.EQ, EncryptionScheme.JOIN, "shared"
-    )
+    other = encryptor.encrypt_constants_many(
+        column_s, Onion.EQ, EncryptionScheme.JOIN, ["shared"]
+    )[0]
     size = encryptor.adj_prefix_size()
     assert after[:size] == other[:size]
 
@@ -222,7 +222,7 @@ def test_hom_deltas_decrypt(setup):
     n_squared = encryptor.paillier.public.n_squared
     deltas = [5, -2, 0]
     for delta, ct in zip(deltas, encryptor.hom_delta_many(column, deltas)):
-        cell = encryptor.encrypt_hom_group(members, [10, 2.5])
+        cell = encryptor.encrypt_hom_group_many(members, [[10, 2.5]])[0]
         folded = (cell * ct) % n_squared
         assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, folded) == 10 + delta
         assert encryptor.decrypt_value(

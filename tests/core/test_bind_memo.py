@@ -142,7 +142,7 @@ def test_literal_increment_plan_is_cached_with_fresh_randomness(make_proxy):
     proxy.execute(sql, (1,))
     rewrites, hits = proxy.stats.queries_rewritten, proxy.stats.plan_cache_hits
     prepared = proxy.prepare(sql)
-    (delta_slot,) = [slot for slot in prepared.plan.param_slots if slot.index is None]
+    (delta_slot,) = [slot for slot in prepared.plan.param_slots if slot.kind == "hom_delta"]
     seen = set()
     for _ in range(3):
         proxy.execute(sql, (1,))

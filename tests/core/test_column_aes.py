@@ -68,7 +68,7 @@ def test_a_one_row_column_below_the_crossover_makes_exactly_its_block_count(
     proxy = _load(make_proxy(), rows=1)
     column = proxy.schema.column("emp", "id")
     encryptor = proxy.encryptor
-    join_ct = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.JOIN, 0)
+    (join_ct,) = encryptor.encrypt_constants_many(column, Onion.EQ, EncryptionScheme.JOIN, [0])
     proxy.cache.clear()
     proxy.stats.reset()
     block_calls.update(encrypt_block=0, decrypt_block=0)

@@ -28,6 +28,20 @@ def setup(paillier_keypair):
     return schema, encryptor
 
 
+def _row(encryptor, column, value):
+    """One value's onion cells: ``encrypt_column_values`` on a batch of one."""
+    parts = encryptor.encrypt_column_values(column, [value])
+    return {name: cells[0] for name, cells in parts.items()}
+
+
+def _constant(encryptor, column, onion, level, value):
+    return encryptor.encrypt_constants_many(column, onion, level, [value])[0]
+
+
+def _group_cell(encryptor, members, values):
+    return encryptor.encrypt_hom_group_many(members, [values])[0]
+
+
 def _group_members(schema):
     """The Add-onion columns of ``t`` in slot order (n, then price)."""
     return [schema.column("t", name) for name in schema.table("t").hom_groups[0].members]
@@ -36,7 +50,7 @@ def _group_members(schema):
 def test_row_encryption_produces_all_onions(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
-    cells = encryptor.encrypt_row_value(column, 42)
+    cells = _row(encryptor, column, 42)
     # The Add onion lives in the table's shared group cell, not per column.
     assert set(cells) == {"C1_Eq", "C1_Ord", "C1_IV"}
     assert isinstance(cells["C1_Eq"], bytes)
@@ -45,37 +59,37 @@ def test_row_encryption_produces_all_onions(setup):
 
 def test_row_encryption_null_passthrough(setup):
     schema, encryptor = setup
-    cells = encryptor.encrypt_row_value(schema.column("t", "s"), None)
+    cells = _row(encryptor, schema.column("t", "s"), None)
     assert all(value is None for value in cells.values())
 
 
 def test_eq_onion_roundtrip_through_all_layers(setup):
     schema, encryptor = setup
     column = schema.column("t", "s")
-    cells = encryptor.encrypt_row_value(column, "hello")
+    cells = _row(encryptor, column, "hello")
     iv = cells[column.iv_column]
     ciphertext = cells[column.onion_state(Onion.EQ).anon_name]
     assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.RND, ciphertext, iv) == "hello"
-    det_ct = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.DET, "hello")
+    det_ct = _constant(encryptor, column, Onion.EQ, EncryptionScheme.DET, "hello")
     assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.DET, det_ct) == "hello"
     # Stripping the stored cell's RND layer leaves exactly the DET constant.
     assert RND(encryptor.layer_key(column, Onion.EQ, EncryptionScheme.RND)).decrypt_bytes(
         ciphertext, iv
     ) == det_ct
-    join_ct = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.JOIN, "hello")
+    join_ct = _constant(encryptor, column, Onion.EQ, EncryptionScheme.JOIN, "hello")
     assert encryptor.decrypt_value(column, Onion.EQ, EncryptionScheme.JOIN, join_ct) == "hello"
 
 
 def test_det_constants_match_stored_values(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
-    cells = encryptor.encrypt_row_value(column, 7)
+    cells = _row(encryptor, column, 7)
     stored = RND(encryptor.layer_key(column, Onion.EQ, EncryptionScheme.RND)).decrypt_bytes(
         cells[column.onion_state(Onion.EQ).anon_name], cells[column.iv_column]
     )
-    constant = encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.DET, 7)
+    constant = _constant(encryptor, column, Onion.EQ, EncryptionScheme.DET, 7)
     assert stored == constant
-    assert encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.DET, 8) != constant
+    assert _constant(encryptor, column, Onion.EQ, EncryptionScheme.DET, 8) != constant
 
 
 def test_ord_onion_preserves_order(setup):
@@ -83,7 +97,7 @@ def test_ord_onion_preserves_order(setup):
     column = schema.column("t", "n")
     values = [-50, -1, 0, 3, 1000]
     ciphertexts = [
-        encryptor.encrypt_constant(column, Onion.ORD, EncryptionScheme.OPE, v) for v in values
+        _constant(encryptor, column, Onion.ORD, EncryptionScheme.OPE, v) for v in values
     ]
     assert ciphertexts == sorted(ciphertexts)
     assert encryptor.decrypt_value(column, Onion.ORD, EncryptionScheme.OPE, ciphertexts[0]) == -50
@@ -92,19 +106,19 @@ def test_ord_onion_preserves_order(setup):
 def test_decimal_encoding_roundtrip(setup):
     schema, encryptor = setup
     column = schema.column("t", "price")
-    cells = encryptor.encrypt_row_value(column, 19.99)
+    cells = _row(encryptor, column, 19.99)
     ciphertext = cells[column.onion_state(Onion.EQ).anon_name]
     assert encryptor.decrypt_value(
         column, Onion.EQ, EncryptionScheme.RND, ciphertext, cells[column.iv_column]
     ) == 19.99
-    hom_ct = encryptor.encrypt_hom_group(_group_members(schema), [None, 19.99])
+    hom_ct = _group_cell(encryptor, _group_members(schema), [None, 19.99])
     assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, hom_ct) == 19.99
 
 
 def test_hom_handles_negative_values(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
-    ciphertext = encryptor.encrypt_hom_group(_group_members(schema), [-25, 7.5])
+    ciphertext = _group_cell(encryptor, _group_members(schema), [-25, 7.5])
     assert encryptor.decrypt_value(column, Onion.ADD, EncryptionScheme.HOM, ciphertext) == -25
 
 
@@ -113,7 +127,7 @@ def test_search_tokens_match_search_onion(setup):
 
     schema, encryptor = setup
     column = schema.column("t", "txt")
-    stored = encryptor.encrypt_row_value(column, "meeting notes about budget")[
+    stored = _row(encryptor, column, "meeting notes about budget")[
         column.onion_state(Onion.SEARCH).anon_name
     ]
     token = encryptor.search_token(column, "budget")
@@ -125,4 +139,4 @@ def test_constant_encryption_rejects_rnd_level(setup):
     schema, encryptor = setup
     column = schema.column("t", "n")
     with pytest.raises(ProxyError):
-        encryptor.encrypt_constant(column, Onion.EQ, EncryptionScheme.RND, 5)
+        _constant(encryptor, column, Onion.EQ, EncryptionScheme.RND, 5)

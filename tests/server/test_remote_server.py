@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro import faults
 from repro.api import exceptions
 from repro.api.connection import connect
 from repro.server.loopback import LoopbackServer, connect_loopback
@@ -228,10 +229,25 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
     )
     a = connect(url=server.url)
     b = connect(url=server.url)
+    # The in-flight batch is held at the backend until the refusal has been
+    # seen, so the drain always finds it still running.
+    release = threading.Event()
+    hold = faults.FaultPlan(
+        0,
+        [
+            faults.FaultRule(
+                "backend.execute",
+                kind="call",
+                every_n=1,
+                max_fires=1,
+                match={"head": ("INSERT",)},
+                scope=server.proxy.db,
+                action=lambda _context: release.wait(timeout=120),
+            )
+        ],
+    )
     try:
         a.execute("CREATE TABLE dr (id int, v int)")
-        # Long enough to still be running when the drain starts: batched AES
-        # made a 400-row load too quick to hold that window under CI load.
         inflight_rows = [(i, i) for i in range(800)]
         result = {}
 
@@ -240,11 +256,14 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
                 "INSERT INTO dr (id, v) VALUES (?, ?)", inflight_rows
             ).rowcount
 
+        injector = faults.arm(hold)
         worker = threading.Thread(target=slow_statement)
         worker.start()
+        # Waiting on the hold, not only on the in-flight count: the count
+        # can still include the CREATE TABLE's response flush.
         wait_until(
-            lambda: server.server._inflight > 0,
-            message="the batch to reach the executor",
+            lambda: injector.fired_count == 1 and server.server._inflight > 0,
+            message="the batch to reach the backend",
         )
 
         drainer = threading.Thread(target=server.drain)
@@ -256,6 +275,7 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
 
         with pytest.raises(exceptions.OperationalError, match="draining"):
             b.execute("INSERT INTO dr (id, v) VALUES (9999, 9999)")
+        release.set()
 
         worker.join(timeout=120)
         drainer.join(timeout=120)
@@ -264,6 +284,8 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
         assert stats["dropped_inflight"] == 0
         assert stats["statements_refused_draining"] >= 1
     finally:
+        release.set()
+        faults.disarm()
         for c in (a, b):
             try:
                 c.close()
