@@ -19,6 +19,13 @@ proxy* ablation (Figure 12) with all of this switched off.
   memos are pure functions of the ciphertext bytes and stay valid forever;
 * the OPE and SEARCH scheme objects created by the encryptor are registered
   here so their cache sizes and hit/miss counters aggregate into one report;
+* the **HOM decryption memo** maps a Paillier ciphertext to its packed
+  plaintext, so a SUM or AVG over rows nobody has written since -- the same
+  product of stored cells, hence the same ciphertext -- is answered with one
+  dictionary lookup instead of a CRT decryption.  Like the Eq decrypt memos
+  it needs no invalidation: a written row yields a new ciphertext, which
+  misses.  It is an LRU of at most :data:`HOM_DECRYPT_MEMO_ENTRIES` entries
+  whose byte count is kept as entries come and go;
 * the Paillier randomness pool is filled through :meth:`precompute_hom`
   (whose first call also builds the key pair's fixed-base table); pool
   hit/miss counters are reported alongside and both count toward the bytes.
@@ -26,12 +33,13 @@ proxy* ablation (Figure 12) with all of this switched off.
 **Byte budget.**  ``estimated_bytes`` is a real measurement: every cache
 unit (one per-column memo, one scheme's memo containers, the HOM pool) is
 walked with ``sys.getsizeof`` and re-measured only when its entry count has
-changed since the last report.  When the proxy is constructed with a
-``cache_budget_bytes`` limit, :meth:`enforce_budget` -- called after every
-statement -- evicts whole units in least-recently-used order until the
-measured footprint fits, shedding the HOM pre-computation last (dropping
-pooled factors or the fixed-base table costs only future encryption
-latency, never a cached ciphertext).  ``evictions``/``evicted_bytes`` count
+changed since the last report; the HOM decryption memo, which changes on
+every miss, keeps its own running total instead.  When the proxy is
+constructed with a ``cache_budget_bytes`` limit, :meth:`enforce_budget` --
+called after every statement -- evicts whole units in least-recently-used
+order until the measured footprint fits, shedding the HOM pre-computation
+last (dropping pooled factors or the fixed-base table costs only future
+encryption latency, never a cached ciphertext).  ``evictions``/``evicted_bytes`` count
 what was shed.
 
 ``proxy.stats`` exposes :meth:`statistics`, and ``proxy.stats.reset()``
@@ -48,6 +56,11 @@ from typing import Optional
 
 from repro.crypto.aes import BATCH_TALLY
 from repro.crypto.paillier import PaillierKeyPair
+
+#: Bound on the HOM decryption memo.  A full-width entry under a 1024-bit
+#: Paillier key is a 300-byte ciphertext and a 164-byte plaintext, so the
+#: full memo stays under 0.5 MiB.
+HOM_DECRYPT_MEMO_ENTRIES = 1024
 
 
 def deep_size(obj, _seen: set | None = None) -> int:
@@ -75,6 +88,50 @@ def deep_size(obj, _seen: set | None = None) -> int:
     return size
 
 
+class HomDecryptMemo:
+    """Bounded LRU map from a Paillier ciphertext to its packed plaintext.
+
+    The dict's insertion order is the recency order: a hit moves its entry
+    to the end and an insert at the bound drops the first.  ``payload_bytes``
+    (keys plus values) is updated on each insert and drop, so measuring the
+    memo walks nothing.  Plaintexts are ints, never ``None``, so a ``None``
+    lookup result always means a miss.
+    """
+
+    __slots__ = ("entries", "payload_bytes")
+
+    def __init__(self) -> None:
+        self.entries: dict[int, int] = {}
+        self.payload_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, ciphertext: int) -> Optional[int]:
+        plaintext = self.entries.pop(ciphertext, None)
+        if plaintext is not None:
+            self.entries[ciphertext] = plaintext
+        return plaintext
+
+    def put(self, ciphertext: int, plaintext: int) -> None:
+        """Insert a miss (the caller has just seen ``get`` return None)."""
+        entries = self.entries
+        if len(entries) >= HOM_DECRYPT_MEMO_ENTRIES:
+            oldest = next(iter(entries))
+            dropped = entries.pop(oldest)
+            self.payload_bytes -= sys.getsizeof(oldest) + sys.getsizeof(dropped)
+        entries[ciphertext] = plaintext
+        self.payload_bytes += sys.getsizeof(ciphertext) + sys.getsizeof(plaintext)
+
+    @property
+    def nbytes(self) -> int:
+        return sys.getsizeof(self.entries) + self.payload_bytes
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.payload_bytes = 0
+
+
 @dataclass
 class CacheStatistics:
     """Aggregated cache counters reported by the proxy and the benchmarks.
@@ -87,6 +144,9 @@ class CacheStatistics:
     ``estimated_bytes`` is the measured footprint of all cached entries,
     ``budget_bytes`` the configured ceiling (0 = unlimited), and
     ``evictions``/``evicted_bytes`` what budget enforcement has shed.
+    ``hom_decrypt_hits``/``hom_decrypt_misses`` count distinct Paillier
+    ciphertexts served by the HOM decryption memo or decrypted, and
+    ``hom_decrypt_entries`` is the memo's size.
     """
 
     det_entries: int = 0
@@ -101,6 +161,9 @@ class CacheStatistics:
     hom_pool_remaining: int = 0
     hom_pool_hits: int = 0
     hom_pool_misses: int = 0
+    hom_decrypt_entries: int = 0
+    hom_decrypt_hits: int = 0
+    hom_decrypt_misses: int = 0
     estimated_bytes: int = 0
     budget_bytes: int = 0
     evictions: int = 0
@@ -164,8 +227,11 @@ class CryptoCache:
         #: (table, column) -> (join_layer, {plaintext bytes: ciphertext})
         self._eq_encrypt_memos: dict[tuple[str, str], tuple] = {}
         self._eq_decrypt_memos: dict[tuple[str, str], dict] = {}
+        self._hom_decrypt_memo = HomDecryptMemo()
         self.det_hits = 0
         self.det_misses = 0
+        self.hom_decrypt_hits = 0
+        self.hom_decrypt_misses = 0
         self.evictions = 0
         self.evicted_bytes = 0
         # Budget bookkeeping: ``_lru`` orders evictable units (one key per
@@ -234,6 +300,15 @@ class CryptoCache:
         self._lru.move_to_end(key)
         return memo
 
+    def hom_decrypt_memo(self) -> HomDecryptMemo | None:
+        """Ciphertext -> packed-plaintext memo, or None when disabled."""
+        if not self.enabled:
+            return None
+        key = ("hom_dec",)
+        self._lru[key] = None
+        self._lru.move_to_end(key)
+        return self._hom_decrypt_memo
+
     def invalidate_eq(self, table: str | None = None, column: str | None = None) -> None:
         """Drop Eq encrypt memos after a JOIN-ADJ re-keying.
 
@@ -287,6 +362,8 @@ class CryptoCache:
         if kind == "eq_dec":
             memo = self._eq_decrypt_memos.get(key[1:], {})
             return len(memo), (memo,)
+        if kind == "hom_dec":
+            return len(self._hom_decrypt_memo), (self._hom_decrypt_memo.entries,)
         if kind == "ope":
             scheme = self._ope_schemes[key[1]]
         else:
@@ -295,6 +372,8 @@ class CryptoCache:
 
     def _unit_bytes(self, key: tuple) -> int:
         """Measured bytes of one unit, re-walking only when it grew/shrank."""
+        if key[0] == "hom_dec":
+            return self._hom_decrypt_memo.nbytes
         count, containers = self._unit_containers(key)
         cached = self._unit_sizes.get(key)
         if cached is not None and cached[0] == count:
@@ -332,6 +411,8 @@ class CryptoCache:
             self._eq_encrypt_memos.pop(key[1:], None)
         elif kind == "eq_dec":
             self._eq_decrypt_memos.pop(key[1:], None)
+        elif kind == "hom_dec":
+            self._hom_decrypt_memo.clear()
         elif kind == "ope":
             self._ope_schemes[key[1]].clear_cache()
         else:
@@ -397,6 +478,9 @@ class CryptoCache:
             hom_pool_remaining=hom_remaining,
             hom_pool_hits=self.paillier.pool_hits,
             hom_pool_misses=self.paillier.pool_misses,
+            hom_decrypt_entries=len(self._hom_decrypt_memo),
+            hom_decrypt_hits=self.hom_decrypt_hits,
+            hom_decrypt_misses=self.hom_decrypt_misses,
             worker_det_hits=self.worker_det_hits,
             worker_det_misses=self.worker_det_misses,
             parallel_jobs=self.parallel_jobs,
@@ -419,6 +503,8 @@ class CryptoCache:
         """
         self.det_hits = 0
         self.det_misses = 0
+        self.hom_decrypt_hits = 0
+        self.hom_decrypt_misses = 0
         self.evictions = 0
         self.evicted_bytes = 0
         self._aes_tally_base = BATCH_TALLY.snapshot()
@@ -437,8 +523,9 @@ class CryptoCache:
         """Drop every cached entry (counters are kept; use reset_counters)."""
         self._eq_encrypt_memos.clear()
         self._eq_decrypt_memos.clear()
+        self._hom_decrypt_memo.clear()
         self._unit_sizes.clear()
-        for key in [k for k in self._lru if k[0] in ("eq_enc", "eq_dec")]:
+        for key in [k for k in self._lru if k[0] in ("eq_enc", "eq_dec", "hom_dec")]:
             del self._lru[key]
         for scheme in self._ope_schemes:
             scheme.clear_cache()

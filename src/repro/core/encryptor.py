@@ -31,7 +31,12 @@ from repro.crypto.join_adj import (
 )
 from repro.crypto.keys import KeyManager
 from repro.crypto.ope import OPE
-from repro.crypto.paillier import PaillierKeyPair, PackingConfig
+from repro.crypto.paillier import (
+    PackingConfig,
+    PaillierKeyPair,
+    decode_partial_sums,
+    is_partial_sum_blob,
+)
 from repro.crypto.rnd import RND
 from repro.crypto.search import SEARCH
 from repro.errors import CryptoError, ProxyError
@@ -62,6 +67,12 @@ class Encryptor:
     ``?`` or a literal, and whether it arrives through ``execute`` or
     ``executemany``; with the cache disabled (Figure 12's Proxy*) both pay
     the full crypto every time.  RND IVs and HOM randomness are always fresh.
+
+    There is one Paillier decryption path, :meth:`hom_plaintexts`: SUM and
+    AVG answers, stored Add cells and the old cell of a packed-slot
+    rewrite all go through it, so each distinct ciphertext is decrypted at
+    most once per call and, with the cache enabled, at most once while it
+    stays in the cache's HOM decryption memo.
     """
 
     def __init__(
@@ -286,6 +297,18 @@ class Encryptor:
             except ParallelUnavailable:
                 pass
         return self.paillier.encrypt_many(encoded)
+
+    def _hom_decrypt_many(self, ciphertexts: list[int]) -> list[int]:
+        """Paillier-decrypt distinct ciphertexts, pool-aware."""
+        if self._pool_usable(len(ciphertexts)):
+            try:
+                return self.pool.scatter(
+                    ciphertexts, lambda chunk: HomDecryptJob(ciphertexts=chunk)
+                )
+            except ParallelUnavailable:
+                pass
+        decrypt = self.paillier.decrypt
+        return [decrypt(ciphertext) for ciphertext in ciphertexts]
 
     def _eq_decrypt_parallel(
         self,
@@ -526,7 +549,7 @@ class Encryptor:
         increments folded into them -- survive bit-exactly.
         """
         config = self.packing
-        plaintext = self.paillier.decrypt(old_ciphertext)
+        (plaintext,) = self.hom_plaintexts([old_ciphertext])[0]
         width = config.slot_width
         for column, value in assignments:
             slot = column.hom_slot
@@ -537,6 +560,77 @@ class Encryptor:
                 )
         return self.paillier.encrypt(plaintext)
 
+    # ------------------------------------------------------------------
+    # HOM decryption (the one Paillier decryption path)
+    # ------------------------------------------------------------------
+    def hom_plaintexts(self, values: Sequence[Any]) -> list:
+        """Packed Paillier plaintexts of HOM values, one entry per value.
+
+        A value is NULL, a packed ciphertext, or a multi-chunk PSUM blob of
+        them (:func:`~repro.crypto.paillier.encode_partial_sums`); its entry
+        is None or the tuple of its chunks' plaintexts.  Each distinct
+        ciphertext is looked up in the cache's HOM decryption memo and only
+        the misses are decrypted, once each, so a SUM over rows nobody has
+        written since costs one dictionary lookup.  With the cache disabled
+        (Figure 12's Proxy*) only the dedupe within this call applies.
+        """
+        chunked = [
+            None if value is None
+            else decode_partial_sums(bytes(value)) if is_partial_sum_blob(value)
+            else (value,)
+            for value in values
+        ]
+        memo = self.cache.hom_decrypt_memo()
+        plain: dict[int, Optional[int]] = {}
+        missing: list[int] = []
+        for chunks in chunked:
+            for ciphertext in chunks or ():
+                if ciphertext not in plain:
+                    hit = None if memo is None else memo.get(ciphertext)
+                    plain[ciphertext] = hit
+                    if hit is None:
+                        missing.append(ciphertext)
+        if missing:
+            for ciphertext, plaintext in zip(missing, self._hom_decrypt_many(missing)):
+                plain[ciphertext] = plaintext
+                if memo is not None:
+                    memo.put(ciphertext, plaintext)
+        if memo is not None:
+            self.cache.hom_decrypt_hits += len(plain) - len(missing)
+            self.cache.hom_decrypt_misses += len(missing)
+        return [
+            None if chunks is None else tuple(plain[ciphertext] for ciphertext in chunks)
+            for chunks in chunked
+        ]
+
+    def _hom_slot_sums(self, column: ColumnMeta, values: Sequence[Any]) -> list:
+        """``(count, sum)`` of ``column``'s slot per HOM aggregate, added
+        across its chunks; None for a NULL aggregate."""
+        decode, slot = self.packing.decode_slot, column.hom_slot
+        out = []
+        for plaintexts in self.hom_plaintexts(values):
+            if plaintexts is None:
+                out.append(None)
+                continue
+            count = total = 0
+            for plaintext in plaintexts:
+                part_count, part_total = decode(plaintext, slot)
+                count += part_count
+                total += part_total
+            out.append((count, total))
+        return out
+
+    def decrypt_hom_sums(self, column: ColumnMeta, ciphertexts: Sequence[Any]) -> list:
+        """Decrypt results of the Paillier SUM aggregate UDF, one per row.
+
+        SUM over rows whose member is always NULL is NULL (slot count 0),
+        even though the shared packed cells themselves are never NULL.
+        """
+        return [
+            None if sums is None or sums[0] == 0 else self._from_int(column, sums[1])
+            for sums in self._hom_slot_sums(column, ciphertexts)
+        ]
+
     def decrypt_hom_avgs(self, column: ColumnMeta, ciphertexts: Sequence[Any]) -> list:
         """AVG results: the divisor comes from the slot.
 
@@ -544,16 +638,11 @@ class Encryptor:
         non-NULL, so AVG derives the divisor from the slot's count subfield
         instead of a separate COUNT item.
         """
-        out = []
-        for ciphertext in ciphertexts:
-            if ciphertext is None:
-                out.append(None)
-                continue
-            count, total = self.paillier.decrypt_packed_sum(
-                ciphertext, column.hom_slot, self.packing
-            )
-            out.append(None if count == 0 else self._from_int(column, total) / count)
-        return out
+        return [
+            None if sums is None or sums[0] == 0
+            else self._from_int(column, sums[1]) / sums[0]
+            for sums in self._hom_slot_sums(column, ciphertexts)
+        ]
 
     # ------------------------------------------------------------------
     # SEARCH tokens (query rewrite path)
@@ -597,24 +686,12 @@ class Encryptor:
                 value = self._rnd_for(column, Onion.ORD).decrypt_int(value, iv)
             return self._from_ope_int(column, self._ope_for(column).decrypt(value))
         if onion is Onion.ADD:
-            cell = self.packing.decode_cell(
-                self.paillier.decrypt(ciphertext), column.hom_slot
-            )
+            (plaintext,) = self.hom_plaintexts([ciphertext])[0]
+            cell = self.packing.decode_cell(plaintext, column.hom_slot)
             return None if cell is None else self._from_int(column, cell)
         if onion is Onion.SEARCH:
             raise ProxyError("SEARCH ciphertexts cannot be decrypted to plaintext")
         raise ProxyError(f"unknown onion {onion}")
-
-    def decrypt_hom_sum(self, column: ColumnMeta, ciphertext: Any) -> Any:
-        """Decrypt the result of the Paillier SUM aggregate UDF."""
-        if ciphertext is None:
-            return None
-        count, total = self.paillier.decrypt_packed_sum(
-            ciphertext, column.hom_slot, self.packing
-        )
-        # SUM over rows whose member is always NULL is NULL, even though
-        # the shared packed cells themselves are never NULL (PR 4 rule).
-        return None if count == 0 else self._from_int(column, total)
 
     # ------------------------------------------------------------------
     # Column-batch decryption (bulk result path)
@@ -679,17 +756,10 @@ class Encryptor:
             decrypted = self._ope_for(column).decrypt_many(dense)
             plains = [self._from_ope_int(column, v) for v in decrypted]
         elif onion is Onion.ADD:
-            decrypted = None
-            if self._pool_usable(len(dense)):
-                try:
-                    decrypted = self.pool.scatter(
-                        dense, lambda chunk: HomDecryptJob(ciphertexts=chunk)
-                    )
-                except ParallelUnavailable:
-                    decrypted = None
-            if decrypted is None:
-                decrypted = self.paillier.decrypt_many(dense)
-            cells = [self.packing.decode_cell(v, column.hom_slot) for v in decrypted]
+            cells = [
+                self.packing.decode_cell(plaintexts[0], column.hom_slot)
+                for plaintexts in self.hom_plaintexts(dense)
+            ]
             plains = [
                 None if cell is None else self._from_int(column, cell)
                 for cell in cells
@@ -702,10 +772,6 @@ class Encryptor:
         for i, value in zip(non_null, plains):
             sparse[i] = value
         return sparse
-
-    def decrypt_hom_sums(self, column: ColumnMeta, ciphertexts: Sequence[Any]) -> list:
-        """Batch form of :meth:`decrypt_hom_sum`."""
-        return [self.decrypt_hom_sum(column, ct) for ct in ciphertexts]
 
     # ------------------------------------------------------------------
     # Server-side layer keys (handed out during onion adjustment)

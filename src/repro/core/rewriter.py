@@ -874,6 +874,14 @@ class Rewriter:
                 # free with the decrypted sum.
                 kind = "hom_sum" if name == "SUM" else "avg"
                 return OutputSpec(kind, label, index, column=column)
+            if column.kind == "text":
+                # The Ord onion orders text by its first four bytes only, and
+                # MIN/MAX decode their answer from it: refuse rather than
+                # return a truncated value (or lower the onion for nothing).
+                raise UnsupportedQueryError(
+                    f"{name} over encrypted text column {column.table}.{column.name} "
+                    "is not supported"
+                )
             onion, level = self._require(plan, column, ComputationClass.ORDER)
             ref = ast.ColumnRef(column.onion_state(Onion.ORD).anon_name, qualifier)
             index = add_item(ast.FunctionCall(name, [ref]), label)

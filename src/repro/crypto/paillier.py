@@ -526,10 +526,6 @@ class PaillierKeyPair:
         l_value = (u - 1) // n
         return (l_value * self.private.mu) % n
 
-    def decrypt_many(self, ciphertexts: list[int]) -> list[int]:
-        """Invert :meth:`encrypt_many`."""
-        return [None if c is None else self.decrypt(c) for c in ciphertexts]
-
     # -- packed slots (section 8.4's ciphertext packing) -------------------
     def encrypt_packed(
         self, values: Sequence[Optional[int]], config: PackingConfig
@@ -546,32 +542,6 @@ class PaillierKeyPair:
     ) -> list[int]:
         """Encrypt a batch of rows, one packed ciphertext per row."""
         return [self.encrypt(config.encode_cell(row)) for row in rows]
-
-    def decrypt_packed(
-        self, ciphertext: int, slots: int, config: PackingConfig
-    ) -> list[tuple[int, int]]:
-        """Decrypt once and shift/mask out every slot as ``(count, sum)``."""
-        plaintext = self.decrypt(ciphertext)
-        return [config.decode_slot(plaintext, slot) for slot in range(slots)]
-
-    def decrypt_packed_sum(
-        self, value, slot: int, config: PackingConfig
-    ) -> tuple[int, int]:
-        """Decrypt a packed SUM result -- an int ciphertext or a multi-chunk
-        :func:`encode_partial_sums` blob -- and return one slot's
-        ``(count, sum)``, added across partials."""
-        if is_partial_sum_blob(value):
-            ciphertexts = decode_partial_sums(bytes(value))
-        else:
-            ciphertexts = [value]
-        count = total = 0
-        for ciphertext in ciphertexts:
-            part_count, part_total = config.decode_slot(
-                self.decrypt(ciphertext), slot
-            )
-            count += part_count
-            total += part_total
-        return count, total
 
 
 class Paillier:

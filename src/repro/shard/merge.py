@@ -54,9 +54,10 @@ def combine_hom_sums(partials: list) -> Any:
 
     Chunks stay separate: multiplying two packed partials would fold up to
     2x ``chunk_rows`` rows into one chunk and could carry a count subfield
-    into its neighbour.  The proxy's ``decrypt_packed_sum`` adds the chunks'
-    plaintexts after one decrypt each, so the merge point needs no key at
-    all -- not even the public one.
+    into its neighbour.  The proxy's ``Encryptor.hom_plaintexts`` decrypts
+    each chunk (or finds it in its memo) and the slot sums are added in
+    plaintext, so the merge point needs no key at all -- not even the public
+    one.
     """
     chunks: list[int] = []
     for value in partials:

@@ -19,8 +19,10 @@ import time
 
 import pytest
 
+from repro.core.encryptor import Encryptor
+from repro.core.joins import JoinManager
 from repro.core.proxy import CryptDBProxy
-from repro.crypto.keys import MasterKey
+from repro.crypto.keys import KeyManager, MasterKey
 from repro.crypto.paillier import PaillierKeyPair
 from repro.principals.multi_proxy import MultiPrincipalProxy
 from repro.sql.engine import Database
@@ -127,6 +129,31 @@ def make_proxy(paillier_keypair):
         return CryptDBProxy(**kwargs)
 
     return factory
+
+
+@pytest.fixture()
+def hom_slot_sum():
+    """Read one slot of a packed HOM value through ``Encryptor.hom_plaintexts``,
+    the proxy's one Paillier decryption path.
+
+    ``hom_slot_sum(keypair, value, slot, config)`` returns the slot's
+    ``(count, sum)``, added across the chunks of a multi-chunk PSUM blob.
+    """
+
+    def read(keypair, value, slot, config):
+        master = MasterKey.from_passphrase("hom-slot-sum")
+        encryptor = Encryptor(
+            KeyManager(master), JoinManager(master.material), keypair, config
+        )
+        (plaintexts,) = encryptor.hom_plaintexts([value])
+        count = total = 0
+        for plaintext in plaintexts:
+            part_count, part_total = config.decode_slot(plaintext, slot)
+            count += part_count
+            total += part_total
+        return count, total
+
+    return read
 
 
 @pytest.fixture()

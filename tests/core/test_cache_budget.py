@@ -40,6 +40,7 @@ def _true_bytes(proxy):
     for scheme in cache._ope_schemes + cache._search_schemes:
         for container in scheme.cache_objects():
             total += _walk(container, seen)
+    total += _walk(cache._hom_decrypt_memo.entries, seen)
     pool = proxy.paillier._randomness_pool
     total += sys.getsizeof(pool) + sum(sys.getsizeof(f) for f in pool)
     fixed_base = proxy.paillier._fixed_base
@@ -70,6 +71,39 @@ def test_estimated_bytes_within_10_percent_of_truth(make_proxy):
     truth = _true_bytes(proxy)
     assert truth > 0
     assert abs(estimated - truth) <= truth * 0.10, (estimated, truth)
+
+
+def test_estimated_bytes_counts_the_hom_decrypt_memo(make_proxy):
+    proxy = make_proxy(hom_precompute=16)
+    _seeded_workload(proxy)
+    before = proxy.stats.cache_stats().estimated_bytes
+    for bound in range(1, 41):
+        proxy.execute("SELECT SUM(qty), AVG(qty) FROM w WHERE id < ?", (bound,))
+    stats = proxy.stats.cache_stats()
+    assert stats.hom_decrypt_entries == 40
+    assert stats.estimated_bytes > before
+    truth = _true_bytes(proxy)
+    assert abs(stats.estimated_bytes - truth) <= truth * 0.10, (stats.estimated_bytes, truth)
+
+
+def test_budget_evicts_the_hom_decrypt_memo_before_the_randomness(paillier_keypair):
+    from repro.crypto.paillier import PaillierKeyPair
+
+    keys = PaillierKeyPair(paillier_keypair.public, paillier_keypair.private)
+    cache = CryptoCache(keys)
+    cache.precompute_hom(4)
+    memo = cache.hom_decrypt_memo()
+    for i in range(8):
+        memo.put(10**300 + i, i)
+    randomness, memo_bytes = keys.randomness_pool_bytes, memo.nbytes
+    assert cache.statistics().estimated_bytes == randomness + memo_bytes
+    cache.budget_bytes = randomness
+    cache.enforce_budget()
+    stats = cache.statistics()
+    assert stats.hom_decrypt_entries == 0
+    assert (stats.evictions, stats.evicted_bytes) == (1, memo_bytes)
+    assert keys.randomness_pool_bytes == randomness
+    assert stats.estimated_bytes == randomness
 
 
 def test_estimated_bytes_counts_the_fixed_base_table(paillier_keypair, make_proxy):

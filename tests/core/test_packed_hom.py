@@ -47,7 +47,7 @@ def test_no_per_column_add_cells_stored(proxy):
     assert sorted(members) == ["a", "b", "price"]
 
 
-def test_hom_sum_udf_closes_chunks_at_headroom(paillier_keypair):
+def test_hom_sum_udf_closes_chunks_at_headroom(paillier_keypair, hom_slot_sum):
     """The server's SUM aggregate emits one chunk per ``chunk_rows`` rows."""
     from repro.core import udfs
     from repro.sql.engine import Database
@@ -63,7 +63,7 @@ def test_hom_sum_udf_closes_chunks_at_headroom(paillier_keypair):
     (partial,), = db.execute(f"SELECT {udfs.HOM_SUM}(c) FROM h").rows
     chunks = paillier.decode_partial_sums(partial)
     assert len(chunks) == -(-len(values) // config.chunk_rows)
-    count, total = paillier_keypair.decrypt_packed_sum(partial, 0, config)
+    count, total = hom_slot_sum(paillier_keypair, partial, 0, config)
     present = [value for value in values if value is not None]
     assert (count, total) == (len(present), sum(present))
 

@@ -198,7 +198,7 @@ def test_fixed_base_draw_matches_the_direct_power(keypair, monkeypatch):
     assert table.draw() == pow(h_s, exponent, keypair.public.n_squared)
 
 
-def test_mixed_randomness_sources_in_one_aggregate(keypair, plain_keypair):
+def test_mixed_randomness_sources_in_one_aggregate(keypair, plain_keypair, hom_slot_sum):
     """Packed SUM and an increment stay right when pooled, inline fixed-base
     and full-width ``r^n`` factors meet in one ciphertext product."""
     config = PackingConfig(value_bits=32, headroom_bits=4)
@@ -218,8 +218,8 @@ def test_mixed_randomness_sources_in_one_aggregate(keypair, plain_keypair):
     product = product * inline.encrypt(config.encode_delta(10, 0, n)) % n_sq
     product = product * legacy.encrypt(config.encode_delta(-4, 1, n)) % n_sq
     for decryptor in (keypair, plain_keypair):
-        assert decryptor.decrypt_packed_sum(product, 0, config) == (3, 17)
-        assert decryptor.decrypt_packed_sum(product, 1, config) == (3, 0)
+        assert hom_slot_sum(decryptor, product, 0, config) == (3, 17)
+        assert hom_slot_sum(decryptor, product, 1, config) == (3, 0)
 
 
 def test_shed_randomness_releases_factors_then_the_table(keypair):

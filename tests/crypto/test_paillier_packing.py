@@ -153,10 +153,10 @@ def test_delta_encoding_is_additive(keypair):
 # ---------------------------------------------------------------------------
 # encrypted paths
 # ---------------------------------------------------------------------------
-def test_encrypt_packed_roundtrip(keypair):
+def test_encrypt_packed_roundtrip(keypair, hom_slot_sum):
     values = [123, None, -456]
     ciphertext = keypair.encrypt_packed(values, CONFIG)
-    decoded = keypair.decrypt_packed(ciphertext, len(values), CONFIG)
+    decoded = [hom_slot_sum(keypair, ciphertext, slot, CONFIG) for slot in range(3)]
     assert decoded == [(1, 123), (0, 0), (1, -456)]
 
 
@@ -169,24 +169,24 @@ def test_encrypt_packed_many_matches_singles(keypair):
             assert CONFIG.decode_cell(plaintext, slot) == value
 
 
-def test_homomorphic_packed_sum(keypair):
+def test_homomorphic_packed_sum(keypair, hom_slot_sum):
     n_sq = keypair.public.n_squared
     rows = [[5, -2], [None, 7], [3, None], [-1, -1]]
     product = 1
     for row in rows:
         product = (product * keypair.encrypt_packed(row, CONFIG)) % n_sq
-    assert keypair.decrypt_packed_sum(product, 0, CONFIG) == (3, 7)
-    assert keypair.decrypt_packed_sum(product, 1, CONFIG) == (3, 4)
+    assert hom_slot_sum(keypair, product, 0, CONFIG) == (3, 7)
+    assert hom_slot_sum(keypair, product, 1, CONFIG) == (3, 4)
 
 
-def test_partial_sum_blob_roundtrip(keypair):
+def test_partial_sum_blob_roundtrip(keypair, hom_slot_sum):
     parts = [keypair.encrypt_packed([i], CONFIG) for i in (1, 2, 3)]
     blob = encode_partial_sums(parts)
     assert is_partial_sum_blob(blob)
     assert not is_partial_sum_blob(b"nope")
     assert not is_partial_sum_blob(12345)
     assert decode_partial_sums(blob) == parts
-    # decrypt_packed_sum adds the per-slot pairs across all partials.
-    assert keypair.decrypt_packed_sum(blob, 0, CONFIG) == (3, 6)
+    # The decryption path adds the per-slot pairs across all partials.
+    assert hom_slot_sum(keypair, blob, 0, CONFIG) == (3, 6)
     with pytest.raises(CryptoError):
         decode_partial_sums(blob + b"x")

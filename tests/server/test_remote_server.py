@@ -141,6 +141,20 @@ def test_stats_frame_carries_the_aes_batch_counters(conn):
     assert conn.proxy.server_stats()["cache"]["aes_batched_blocks"] < cache["aes_batched_blocks"]
 
 
+def test_stats_frame_carries_the_hom_decrypt_counters(conn):
+    cur = conn.cursor()
+    cur.execute("CREATE TABLE shd (id int, v int)")
+    cur.executemany("INSERT INTO shd (id, v) VALUES (?, ?)", [(i, i) for i in range(6)])
+    before = conn.proxy.server_stats(reset=True)["cache"]
+    for _ in range(2):
+        cur.execute("SELECT SUM(v) FROM shd")
+        assert cur.fetchall() == [(15,)]
+    cache = conn.proxy.server_stats()["cache"]
+    # The second SUM read the same ciphertext: answered from the memo.
+    assert (cache["hom_decrypt_misses"], cache["hom_decrypt_hits"]) == (1, 1)
+    assert cache["hom_decrypt_entries"] == before["hom_decrypt_entries"] + 1
+
+
 def test_transaction_rollback_remote(conn):
     cur = conn.cursor()
     cur.execute("CREATE TABLE txr (id int, v int)")
